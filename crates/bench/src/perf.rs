@@ -99,8 +99,8 @@ pub fn engine_hotpath(opts: &PerfOpts) {
     });
     let quantum_ns_per_event = quantum.median.as_secs_f64() * 1e9 / q_result.events.max(1) as f64;
 
-    // (3) Bit-sliced AES block throughput through the widest lane batch
-    // the crate offers (`aes_width` blocks per kernel invocation).
+    // (3) Bit-sliced AES block throughput through the eight-block batch
+    // the GCM keystream uses (`aes_width` blocks per call).
     let key = Aes128Key::expand([0x42; 16]);
     let blocks: [Vec128; 8] =
         std::array::from_fn(|i| Vec128::from_u128(0x0123_4567_89ab_cdef ^ ((i as u128) << 96)));
@@ -189,8 +189,8 @@ pub fn engine_hotpath(opts: &PerfOpts) {
     }
 }
 
-/// The fleet-engine throughput bench (core·epoch slices per second over
-/// three drivers). Moved verbatim from the `fleet_throughput` binary;
+/// The fleet-engine throughput bench (core·epoch slices per second,
+/// serial and sharded). Moved verbatim from the `fleet_throughput` binary;
 /// the JSON now goes through the shared schema.
 pub fn fleet_throughput(opts: &PerfOpts) {
     let cfg = FleetConfig {
@@ -218,15 +218,11 @@ pub fn fleet_throughput(opts: &PerfOpts) {
     let sharded = bench_with_throughput("sharded (auto threads)", Some(slices), || {
         sim.run(Threads::Auto)
     });
-    let event = bench_with_throughput("event-driven (reference)", Some(slices), || {
-        sim.run_event_driven()
-    });
 
     let rate = |m: &Measurement| slices as f64 / m.median.as_secs_f64().max(1e-12);
-    let (serial_sps, sharded_sps, event_sps) = (rate(&serial), rate(&sharded), rate(&event));
+    let (serial_sps, sharded_sps) = (rate(&serial), rate(&sharded));
     println!(
-        "\nserial {serial_sps:.0} slices/s, sharded {sharded_sps:.0} slices/s \
-         ({:.2}x), event-driven {event_sps:.0} slices/s",
+        "\nserial {serial_sps:.0} slices/s, sharded {sharded_sps:.0} slices/s ({:.2}x)",
         sharded_sps / serial_sps.max(1e-12)
     );
 
@@ -241,7 +237,6 @@ pub fn fleet_throughput(opts: &PerfOpts) {
         for (name, m, sps) in [
             ("serial", &serial, serial_sps),
             ("sharded", &sharded, sharded_sps),
-            ("event_driven", &event, event_sps),
         ] {
             doc.metric(name, "median_ms", Val::F64(ms(m), 3));
             doc.metric(name, "slices_per_s", Val::F64(sps, 0));
@@ -251,16 +246,15 @@ pub fn fleet_throughput(opts: &PerfOpts) {
 
     if opts.test_mode {
         // Sanity floors, not perf gates — plus the determinism contract:
-        // all three drivers must agree bit for bit.
+        // serial and sharded runs must agree bit for bit.
         let a = sim.run(Threads::Fixed(1));
         let b = sim.run(Threads::Auto);
-        let c = sim.run_event_driven();
-        assert!(a == b && b == c, "fleet drivers disagree");
+        assert!(a == b, "serial and sharded fleet runs disagree");
         assert!(
             serial_sps > 10.0,
             "serial below 10 slices/s: {serial_sps:.1}"
         );
-        println!("OK: fleet drivers agree and throughput is sane");
+        println!("OK: serial and sharded agree and throughput is sane");
     }
 }
 

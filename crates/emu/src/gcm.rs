@@ -164,8 +164,8 @@ pub fn gcm_encrypt(
 
 /// XORs the CTR keystream (counters inc32(j0), inc32²(j0), …) over
 /// `input`, appending to `out` — batching eight counter blocks per
-/// bit-sliced kernel invocation (the wide lanes are the whole point of
-/// the bit-sliced layout: one transpose pays for eight blocks).
+/// [`bitsliced::encrypt128_x8`] call (the parallel lanes are the whole
+/// point of the bit-sliced layout: one transpose pays for four blocks).
 fn apply_ctr_keystream(key: &Aes128Key, j0: Vec128, input: &[u8], out: &mut Vec<u8>) {
     let mut counter = j0;
     for octet in input.chunks(128) {

@@ -124,18 +124,18 @@ impl SramScenarioConfig {
                         return Err("'scenario' must be \"sram\" here".to_string());
                     }
                 }
-                "cache_banks" => cfg.cache_banks = json_count(value, key)? as usize,
-                "rob_banks" => cfg.rob_banks = json_count(value, key)? as usize,
+                "cache_banks" => cfg.cache_banks = json::count(value, key)? as usize,
+                "rob_banks" => cfg.rob_banks = json::count(value, key)? as usize,
                 "sigma_mv" => {
                     cfg.sigma_mv = value
                         .as_f64()
                         .ok_or_else(|| "'sigma_mv' must be a number".to_string())?;
                 }
-                "offsets_mv" => cfg.offsets_mv = json_numbers(value, key)?,
-                "reads" => cfg.reads = json_count(value, key)? as u32,
-                "audit_len" => cfg.audit_len = json_count(value, key)? as usize,
-                "cores" => cfg.cores = json_count(value, key)? as usize,
-                "seed" => cfg.seed = json_count(value, key)?,
+                "offsets_mv" => cfg.offsets_mv = json::numbers(value, key)?,
+                "reads" => cfg.reads = json::count(value, key)? as u32,
+                "audit_len" => cfg.audit_len = json::count(value, key)? as usize,
+                "cores" => cfg.cores = json::count(value, key)? as usize,
+                "seed" => cfg.seed = json::count(value, key)?,
                 other => return Err(format!("unknown key '{other}'")),
             }
         }
@@ -316,33 +316,33 @@ impl ScroogeConfig {
                         return Err("'scenario' must be \"scrooge\" here".to_string());
                     }
                 }
-                "racks" => cfg.racks = json_count(value, key)? as usize,
-                "domains_per_rack" => cfg.domains_per_rack = json_count(value, key)? as usize,
-                "cores_per_domain" => cfg.cores_per_domain = json_count(value, key)? as usize,
-                "epochs" => cfg.epochs = json_count(value, key)? as usize,
-                "epoch_insts" => cfg.epoch_insts = json_count(value, key)?,
+                "racks" => cfg.racks = json::count(value, key)? as usize,
+                "domains_per_rack" => cfg.domains_per_rack = json::count(value, key)? as usize,
+                "cores_per_domain" => cfg.cores_per_domain = json::count(value, key)? as usize,
+                "epochs" => cfg.epochs = json::count(value, key)? as usize,
+                "epoch_insts" => cfg.epoch_insts = json::count(value, key)?,
                 "workload" => {
                     cfg.workload = value
                         .as_str()
                         .ok_or_else(|| "'workload' must be a string".to_string())?
                         .to_string();
                 }
-                "sigma_mv" => cfg.sigma_mv = json_number(value, key)?,
-                "cache_banks" => cfg.cache_banks = json_count(value, key)? as usize,
-                "rob_banks" => cfg.rob_banks = json_count(value, key)? as usize,
-                "offset_min_mv" => cfg.offset_min_mv = json_number(value, key)?,
-                "offset_steps" => cfg.offset_steps = json_count(value, key)? as usize,
-                "freq_min" => cfg.freq_min = json_number(value, key)?,
-                "freq_steps" => cfg.freq_steps = json_count(value, key)? as usize,
-                "refine_rounds" => cfg.refine_rounds = json_count(value, key)? as usize,
-                "energy_price" => cfg.energy_price = json_number(value, key)?,
-                "crash_cost" => cfg.crash_cost = json_number(value, key)?,
-                "sdc_cost" => cfg.sdc_cost = json_number(value, key)?,
-                "sla_cost" => cfg.sla_cost = json_number(value, key)?,
-                "domain_power_w" => cfg.domain_power_w = json_number(value, key)?,
-                "horizon_hours" => cfg.horizon_hours = json_number(value, key)?,
-                "audit_len" => cfg.audit_len = json_count(value, key)? as usize,
-                "seed" => cfg.seed = json_count(value, key)?,
+                "sigma_mv" => cfg.sigma_mv = json::number(value, key)?,
+                "cache_banks" => cfg.cache_banks = json::count(value, key)? as usize,
+                "rob_banks" => cfg.rob_banks = json::count(value, key)? as usize,
+                "offset_min_mv" => cfg.offset_min_mv = json::number(value, key)?,
+                "offset_steps" => cfg.offset_steps = json::count(value, key)? as usize,
+                "freq_min" => cfg.freq_min = json::number(value, key)?,
+                "freq_steps" => cfg.freq_steps = json::count(value, key)? as usize,
+                "refine_rounds" => cfg.refine_rounds = json::count(value, key)? as usize,
+                "energy_price" => cfg.energy_price = json::number(value, key)?,
+                "crash_cost" => cfg.crash_cost = json::number(value, key)?,
+                "sdc_cost" => cfg.sdc_cost = json::number(value, key)?,
+                "sla_cost" => cfg.sla_cost = json::number(value, key)?,
+                "domain_power_w" => cfg.domain_power_w = json::number(value, key)?,
+                "horizon_hours" => cfg.horizon_hours = json::number(value, key)?,
+                "audit_len" => cfg.audit_len = json::count(value, key)? as usize,
+                "seed" => cfg.seed = json::count(value, key)?,
                 other => return Err(format!("unknown key '{other}'")),
             }
         }
@@ -385,39 +385,6 @@ impl ScenarioConfig {
             None => Err("missing 'scenario' (\"sram\" or \"scrooge\")".to_string()),
         }
     }
-}
-
-/// Extracts a non-negative integer count from a JSON number, rejecting
-/// fractions, negatives, and anything beyond exact-f64 range.
-fn json_count(v: &json::Value, key: &str) -> Result<u64, String> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' must be a number"))?;
-    if !n.is_finite() || n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
-        return Err(format!("'{key}' must be a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-/// Extracts a finite number (range checks happen in `validate`).
-fn json_number(v: &json::Value, key: &str) -> Result<f64, String> {
-    v.as_f64()
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| format!("'{key}' must be a finite number"))
-}
-
-/// Extracts an array of finite numbers.
-fn json_numbers(v: &json::Value, key: &str) -> Result<Vec<f64>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' must be an array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|n| n.is_finite())
-                .ok_or_else(|| format!("'{key}' entries must be finite numbers"))
-        })
-        .collect()
 }
 
 #[cfg(test)]

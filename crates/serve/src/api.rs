@@ -26,7 +26,7 @@ use suit_isa::TABLE1;
 use suit_rng::SuitRng;
 use suit_scenarios::ScenarioConfig;
 use suit_sim::analytic::simulate_emulation;
-use suit_sim::engine::{run_stream, simulate, SimConfig};
+use suit_sim::engine::{run_stream, simulate, SimConfig, MAX_DOMAIN_CORES};
 use suit_sim::experiment::{run_table6, RowResult};
 use suit_sim::result::RunResult;
 use suit_telemetry::json::{escape, parse, Value};
@@ -262,6 +262,17 @@ const POINT_FIELDS: [&str; 8] = [
     "deadline_ms",
 ];
 
+/// The optional `cores` field, bounded to `1..=MAX_DOMAIN_CORES`.
+fn parse_cores(v: &Value, default: u64) -> Result<u64, BadRequest> {
+    let cores = get_u64(v, "cores")?.unwrap_or(default);
+    if cores == 0 || cores > MAX_DOMAIN_CORES as u64 {
+        return Err(BadRequest(format!(
+            "field 'cores' must be in 1..={MAX_DOMAIN_CORES}"
+        )));
+    }
+    Ok(cores)
+}
+
 fn parse_point(v: &Value, require_workload: bool) -> Result<SimPoint, BadRequest> {
     let workload = match get_str(v, "workload")? {
         Some(name) => {
@@ -286,10 +297,7 @@ fn parse_point(v: &Value, require_workload: bool) -> Result<SimPoint, BadRequest
     if insts == Some(0) {
         return Err(BadRequest("field 'insts' must be at least 1".into()));
     }
-    let cores = get_u64(v, "cores")?.unwrap_or(1);
-    if cores == 0 {
-        return Err(BadRequest("field 'cores' must be at least 1".into()));
-    }
+    let cores = parse_cores(v, 1)?;
     Ok(SimPoint {
         workload,
         cpu: parse_cpu(get_str(v, "cpu")?)?,
@@ -485,10 +493,7 @@ pub fn parse_faults(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
         &["cores", "sigma_mv", "seed", "executions", "deadline_ms"],
     )?;
     let deadline_ms = get_u64(&v, "deadline_ms")?;
-    let cores = get_u64(&v, "cores")?.unwrap_or(4);
-    if cores == 0 || cores > 256 {
-        return Err(BadRequest("field 'cores' must be in 1..=256".into()));
-    }
+    let cores = parse_cores(&v, 4)?;
     let sigma_mv = get_f64(&v, "sigma_mv")?.unwrap_or(5.0);
     if !sigma_mv.is_finite() || sigma_mv < 0.0 {
         return Err(BadRequest(

@@ -3,10 +3,10 @@
 //! batched intra-burst fast path for lone cores.
 //!
 //! This loop is behaviourally identical — bit for bit, including the
-//! telemetry counters — to the event-heap reference in [`crate::event`]
-//! and the legacy scan loop in [`crate::legacy`]; the differential suite
-//! in `tests/engine_equivalence.rs` pins all three against each other.
-//! What changed is purely mechanical:
+//! telemetry counters — to the legacy scan loop in [`crate::legacy`];
+//! the differential suite in `tests/engine_equivalence.rs` pins the two
+//! against each other, results and counters alike. What changed is
+//! purely mechanical:
 //!
 //! * **Storage.** The hot per-core state lives in a [`CoreArena`]
 //!   (dense `f64`/`u32` columns) instead of per-core structs, and both
@@ -15,11 +15,10 @@
 //!   the quantum loop; [`Counter::EngineScratchAllocs`] ticks only when
 //!   a reset had to grow a buffer, which the equivalence suite asserts
 //!   stays at zero after warm-up.
-//! * **Selection.** The per-round heap rebuild of the reference engine
-//!   is replaced by a single linear scan for the minimum `(tick, id)`.
-//!   Scanning pending → timer → cores in ascending id with strictly-less
-//!   replacement reproduces the heap's pop order exactly (lowest id wins
-//!   ties), without pushing ticks that lose anyway.
+//! * **Selection.** One linear scan for the minimum `(tick, id)` over
+//!   the live set only, with ids pending 0 < timer 1 < core 2 + i.
+//!   Scanning in ascending id with strictly-less replacement reproduces
+//!   the reference's tie priority exactly (lowest id wins ties).
 //! * **Batching.** When exactly one core is live, instructions are
 //!   enabled, and the core sits at the start of an intra-burst stride,
 //!   every event of the stride advances the identical quantum: same
@@ -99,7 +98,7 @@ pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
         // Earliest (tick, id), ids: pending 0 < timer 1 < core 2 + i.
         // Seeding with pending, then replacing only on strictly earlier
         // ticks while visiting timer and cores in ascending id,
-        // reproduces the reference heap's pop order exactly.
+        // reproduces the reference's tie priority exactly.
         let perf = hw.perf();
         let mut t_next = SimTime::from_picos(u64::MAX);
         let mut kind = NextEvent::Idle;
@@ -116,7 +115,7 @@ pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
         for &i in live.iter() {
             let i = i as usize;
             // The same arithmetic, in the same order, as the reference
-            // engines: instructions to the next point of interest over
+            // loop: instructions to the next point of interest over
             // the current effective rate. Byte-identity hangs on this
             // expression not being algebraically "simplified".
             let t = hw.now + SimDuration::from_secs_f64(arena.rem_next(i) / (arena.rate[i] * perf));

@@ -1,21 +1,20 @@
-//! The original (pre-event-heap) engine loop, kept as a reference
-//! implementation for the differential equivalence suite
+//! The original engine loop, kept as the one reference implementation
+//! (oracle) for the differential equivalence suite
 //! (`tests/engine_equivalence.rs`).
 //!
-//! The production engine ([`crate::arena`]) batches and scans flat
-//! arrays; the PR 8 reference ([`crate::heap_ref`]) selects events with
-//! a deterministic binary min-heap; this module selects them with the
-//! original linear scan over every core plus the timer and pending
-//! slots, visiting finished cores too. All three share the *identical*
-//! boot, per-quantum advancement, and event-dispatch code from
-//! [`crate::engine`], so any divergence is a scheduling bug — which is
-//! exactly what the suite exists to catch. Not part of the supported
-//! API: the adapters in [`crate::engine`] are the only production entry
-//! points.
+//! The production engine ([`crate::arena`]) batches lone-core strides and
+//! scans flat arrays over a reusable live set; this module selects every
+//! event with the original linear scan over the unfinished cores plus the
+//! timer and pending slots. Both share the *identical* boot, per-quantum
+//! advancement, and event-dispatch code from [`crate::engine`], so any
+//! divergence — in results or in telemetry counters — is a scheduling
+//! bug, which is exactly what the suite exists to catch. Not part of the
+//! supported API: the adapters in [`crate::engine`] are the only
+//! production entry points.
 
 use suit_hw::CpuModel;
 use suit_isa::{SimDuration, SimTime};
-use suit_telemetry::Telemetry;
+use suit_telemetry::{Counter, Telemetry};
 use suit_trace::io::TraceMeta;
 use suit_trace::{Burst, WorkloadProfile};
 
@@ -28,10 +27,7 @@ use crate::result::RunResult;
 /// Reference [`crate::engine::simulate`]: the legacy scan loop.
 pub fn simulate(cpu: &CpuModel, profile: &WorkloadProfile, cfg: &SimConfig) -> RunResult {
     let profiles: Vec<&WorkloadProfile> = (0..cfg.cores).map(|_| profile).collect();
-    let (cores, workload) = build_cores(cpu, &profiles, cfg);
-    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off())
-        .0
-        .domain
+    simulate_mixed_telemetry(cpu, &profiles, cfg, &Telemetry::off()).domain
 }
 
 /// Reference [`crate::engine::simulate_mixed`]: the legacy scan loop.
@@ -40,8 +36,20 @@ pub fn simulate_mixed(
     profiles: &[&WorkloadProfile],
     cfg: &SimConfig,
 ) -> MixedResult {
+    simulate_mixed_telemetry(cpu, profiles, cfg, &Telemetry::off())
+}
+
+/// Reference [`crate::engine::simulate_mixed_telemetry`]: the legacy
+/// scan loop, recording through `tele`. A single-profile run is the
+/// mix of `cfg.cores` copies of that profile.
+pub fn simulate_mixed_telemetry(
+    cpu: &CpuModel,
+    profiles: &[&WorkloadProfile],
+    cfg: &SimConfig,
+    tele: &Telemetry,
+) -> MixedResult {
     let (cores, workload) = build_cores(cpu, profiles, cfg);
-    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off()).0
+    run_cores_legacy(cpu, cores, workload, cfg, tele).0
 }
 
 /// Reference [`crate::engine::run_stream`]: the legacy scan loop.
@@ -66,7 +74,7 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
 ) -> (MixedResult, Option<Vec<crate::engine::PointChange>>) {
     assert!(!cores.is_empty(), "need at least one core");
     let (mut hw, mut os) = boot(cpu, cfg, tele);
-    // The reference loops build a private arena per run (no scratch
+    // The reference loop builds a private arena per run (no scratch
     // reuse): storage is shared with production, scheduling is not.
     let mut arena = CoreArena::default();
     arena.reset(&mut cores, tele);
@@ -110,20 +118,23 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
             }
         }
 
-        // Advance execution to the event — every core of the domain is
-        // visited, finished (idle-parked) or not. The other engines
-        // instead drop finished cores from their live sets; the results
-        // are identical (advancing a finished core is a no-op), only
-        // the per-core step accounting differs.
+        // Advance execution to the event. Finished (idle-parked) cores
+        // are skipped and not counted: one quantum per non-zero `dt`,
+        // one core step per unfinished core — the counters the arena
+        // engine must reproduce, batched fast path included.
         let dt = t_next.saturating_since(hw.now);
         if !dt.is_zero() {
+            let mut steps = 0;
             for i in 0..cores.len() {
                 if arena.finished(i) {
                     continue;
                 }
                 let insts = arena.rate[i] * perf * dt.as_secs_f64();
                 arena.advance(i, insts);
+                steps += 1;
             }
+            tele.count(Counter::EngineQuanta);
+            tele.add(Counter::CoreSteps, steps);
             hw.run_for(dt);
         }
 

@@ -14,7 +14,9 @@
 //!
 //! * [`engine`] — the discrete-event core for the curve-switching
 //!   strategies (𝑓, 𝑉, 𝑓𝑉), including multi-core runs sharing one DVFS
-//!   domain (CPU 𝒜).
+//!   domain (CPU 𝒜). Its production loop is the arena scheduler; the
+//!   hidden [`legacy`] module keeps the original linear-scan loop as the
+//!   one reference oracle for the differential equivalence suite.
 //! * [`analytic`] — closed-form evaluation of the *emulation* and
 //!   *no-SIMD* modes, which never switch curves (§6.2's methodology:
 //!   no-SIMD recompile overhead plus one emulation-call delay per disabled
@@ -29,6 +31,8 @@
 //! * [`thermal_loop`] — the governor, thermal RC model and simulator
 //!   coupled into a closed control loop (the operational form of the
 //!   §3.1/§5.7 temperature budgets).
+//! * [`fleet`] — racks of DVFS domains under per-rack thermal governors,
+//!   sharded over `suit-exec` between thermal sync points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +40,8 @@
 pub mod analytic;
 mod arena;
 pub mod engine;
-pub mod event;
 pub mod experiment;
 pub mod fleet;
-#[doc(hidden)]
-pub mod heap_ref;
 #[doc(hidden)]
 pub mod legacy;
 pub mod montecarlo;

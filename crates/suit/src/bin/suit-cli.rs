@@ -13,8 +13,9 @@
 //! suit-cli security
 //! ```
 //!
-//! Unknown subcommands and unknown flags print the usage text and exit
-//! nonzero — they are never silently ignored.
+//! Unknown subcommands, unknown flags and out-of-range flag values print
+//! the usage text and exit with status 2 — they are never silently
+//! ignored.
 
 use std::process::ExitCode;
 
@@ -38,7 +39,6 @@ const USAGE: &str =
 \x20 fleet [--config <file.json>] [--racks N] [--domains N | --cores N] [--cores-per-domain N]\n\
 \x20       [--workload name[,name...]] [--epochs N] [--insts N] [--utilization F]\n\
 \x20       [--cpu a|b|c] [--strategy fv|f|v] [--offset 70|97] [--seed N] [--threads N]\n\
-\x20       [--event-driven]   (serial component-scheduler driver; same bytes)\n\
 \x20 trace record --workload <name> --out <file> [--bursts N] [--seed N]\n\
 \x20       [--format v1|v2] [--chunk-bursts N]   (v2 streams into a SUITTRC2 container)\n\
 \x20 trace pack <in.suittrc> <out.suittrc2> [--chunk-bursts N]\n\
@@ -95,13 +95,18 @@ fn main() -> ExitCode {
                 || e.contains("unknown flag")
                 || e.contains("unexpected argument")
                 || e.contains("--threads")
+                || e.contains("--cores")
                 || e.contains("--addr")
                 || e.contains("--queue-depth")
                 || e.contains("expected sram or scrooge")
             {
+                // Usage errors exit 2, like every bench binary's bad
+                // `--threads`; runtime failures exit 1.
                 eprintln!("{USAGE}");
+                ExitCode::from(2)
+            } else {
+                ExitCode::FAILURE
             }
-            ExitCode::FAILURE
         }
     }
 }
@@ -206,6 +211,20 @@ fn parse_level(s: Option<String>) -> Result<UndervoltLevel, String> {
     }
 }
 
+/// `--cores N` for one DVFS domain: `1..=MAX_DOMAIN_CORES`, default 1.
+fn parse_cores(args: &[String]) -> Result<usize, String> {
+    use suit::sim::engine::MAX_DOMAIN_CORES;
+    let Some(v) = opt(args, "--cores") else {
+        return Ok(1);
+    };
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_DOMAIN_CORES).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "--cores must be an integer in 1..={MAX_DOMAIN_CORES}, got '{v}'"
+        )),
+    }
+}
+
 fn cmd_simulate(args: &[String]) -> CliResult {
     check_args(
         args,
@@ -237,8 +256,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let threads = parse_threads(args)?;
     let cpu = parse_cpu(opt(args, "--cpu"))?;
     let level = parse_level(opt(args, "--offset"))?;
-    let cores: usize =
-        opt(args, "--cores").map_or(Ok(1), |v| v.parse().map_err(|e| format!("--cores: {e}")))?;
+    let cores = parse_cores(args)?;
     let insts: Option<u64> = opt(args, "--insts")
         .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
         .transpose()?;
@@ -538,8 +556,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
 
 /// `fleet`: rack-scale scenario over the event engine — racks of DVFS
 /// domains with per-rack cooling/age governors, sharded between thermal
-/// sync points. Output is byte-identical at every `--threads`, and the
-/// `--event-driven` driver reproduces it exactly.
+/// sync points. Output is byte-identical at every `--threads`.
 fn cmd_fleet(args: &[String]) -> CliResult {
     use suit::sim::fleet::{FleetConfig, FleetSim};
     check_args(
@@ -560,7 +577,7 @@ fn cmd_fleet(args: &[String]) -> CliResult {
             "--seed",
             "--threads",
         ],
-        &["--event-driven"],
+        &[],
         0,
     )?;
     let mut cfg = match opt(args, "--config") {
@@ -637,12 +654,7 @@ fn cmd_fleet(args: &[String]) -> CliResult {
     }
     let threads = parse_threads(args)?;
     let sim = FleetSim::new(cfg)?;
-    let result = if args.iter().any(|a| a == "--event-driven") {
-        sim.run_event_driven()
-    } else {
-        sim.run(threads)
-    };
-    print!("{}", result.render());
+    print!("{}", sim.run(threads).render());
     Ok(())
 }
 
@@ -853,8 +865,7 @@ fn cmd_profile(args: &[String]) -> CliResult {
     let p = profile::by_name(&name).ok_or_else(|| format!("unknown workload '{name}'"))?;
     let cpu = parse_cpu(opt(args, "--cpu"))?;
     let level = parse_level(opt(args, "--offset"))?;
-    let cores: usize =
-        opt(args, "--cores").map_or(Ok(1), |v| v.parse().map_err(|e| format!("--cores: {e}")))?;
+    let cores = parse_cores(args)?;
     let insts: Option<u64> = opt(args, "--insts")
         .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
         .transpose()?;

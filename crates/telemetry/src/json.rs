@@ -3,8 +3,10 @@
 //! Exists so the Perfetto exporter can be *validated* without external
 //! crates: CI round-trips every emitted `trace.json` through this parser
 //! and checks structure (see [`crate::perfetto::validate_perfetto`]).
-//! It is a strict recursive-descent parser over the JSON grammar —
-//! small, not fast, and that is fine for validation workloads.
+//! The fleet and scenario config parsers read their fields through the
+//! strict extractors [`count`], [`number`] and [`numbers`]. It is a
+//! strict recursive-descent parser over the JSON grammar — small, not
+//! fast, and that is fine for validation workloads.
 
 /// A parsed JSON value. Object keys keep their source order (JSON objects
 /// are unordered per spec, but order preservation makes validation output
@@ -57,6 +59,41 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Extracts a non-negative integer count from the field `key` holding
+/// `v`, rejecting fractions, negatives, and anything beyond exact-f64
+/// range.
+pub fn count(v: &Value, key: &str) -> Result<u64, String> {
+    let n = v
+        .as_f64()
+        .ok_or_else(|| format!("'{key}' must be a number"))?;
+    if !n.is_finite() || n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
+        return Err(format!("'{key}' must be a non-negative integer"));
+    }
+    Ok(n as u64)
+}
+
+/// Extracts a finite number from the field `key` holding `v` (range
+/// checks are the caller's).
+pub fn number(v: &Value, key: &str) -> Result<f64, String> {
+    v.as_f64()
+        .filter(|n| n.is_finite())
+        .ok_or_else(|| format!("'{key}' must be a finite number"))
+}
+
+/// Extracts an array of finite numbers from the field `key` holding `v`.
+pub fn numbers(v: &Value, key: &str) -> Result<Vec<f64>, String> {
+    let arr = v
+        .as_arr()
+        .ok_or_else(|| format!("'{key}' must be an array"))?;
+    arr.iter()
+        .map(|x| {
+            x.as_f64()
+                .filter(|n| n.is_finite())
+                .ok_or_else(|| format!("'{key}' entries must be finite numbers"))
+        })
+        .collect()
 }
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).

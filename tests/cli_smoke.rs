@@ -74,6 +74,28 @@ fn bad_flag_values_fail_cleanly() {
 }
 
 #[test]
+fn out_of_range_cores_are_usage_errors_not_aborts() {
+    // A billion cores would reach the engine's per-core allocation and
+    // abort (SIGABRT, status 134) under a memory limit.
+    for base in [
+        ["simulate", "--workload", "557.xz", "--insts", "1000"].as_slice(),
+        ["profile", "557.xz", "--insts", "1000"].as_slice(),
+    ] {
+        for bad in ["1000000000", "257", "0", "many"] {
+            let args = [base, &["--cores", bad]].concat();
+            let out = cli(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let err = stderr(&out);
+            assert!(
+                err.contains("--cores must be an integer in 1..=256"),
+                "{err}"
+            );
+            assert!(err.contains("usage: suit-cli"), "{err}");
+        }
+    }
+}
+
+#[test]
 fn bad_threads_values_print_usage_and_fail() {
     for bad in ["0", "-1", "many", ""] {
         let out = cli(&["simulate", "--workload", "557.xz", "--threads", bad]);

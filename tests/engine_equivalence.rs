@@ -1,37 +1,37 @@
 //! Differential equivalence suite: the production arena scheduler vs.
-//! the event-heap reference vs. the legacy scan loop.
+//! the legacy scan loop, its one reference oracle.
 //!
-//! Three engines share the boot, per-quantum advancement, dispatch, and
-//! collection code verbatim (`suit::sim::engine`) and differ only in
-//! event selection: the production arena loop (`suit::sim::arena` —
-//! linear argmin over flat core state plus a batched lone-core fast
-//! path), the PR 8 event-heap loop (entry points in
-//! `suit::sim::heap_ref`), and the original linear scan
-//! (`suit::sim::legacy`). This suite pins all three **byte-identical** —
-//! same `Debug` rendering, so every `f64` bit pattern agrees, not just
-//! approximate equality — across:
+//! The two engines share the boot, per-quantum advancement, dispatch,
+//! and collection code verbatim (`suit::sim::engine`) and differ only in
+//! event selection: the production arena loop (linear argmin over flat
+//! core state plus a batched lone-core fast path) and the original
+//! linear scan (`suit::sim::legacy`). This suite pins them
+//! **byte-identical** — same `Debug` rendering, so every `f64` bit
+//! pattern agrees, not just approximate equality — and pins every
+//! telemetry counter except the scratch-allocation tally equal, which
+//! covers the fast path's bulk `EngineQuanta`/`CoreSteps` accounting,
+//! across:
 //!
 //! * every built-in workload profile × all three curve-switching
 //!   strategies (`fv`, `f`, `V`), at 1 and 4 executor threads;
 //! * multi-core consolidation mixes on the shared-domain CPU
 //!   (`simulate_mixed`);
 //! * streamed traces through `run_stream`;
-//! * a ≥1024-core fleet scenario, sharded at 1 and 4 threads and via
-//!   the serial component-scheduler driver.
+//! * a ≥1024-core fleet scenario, sharded at 1 and 4 threads.
 //!
-//! The suite also pins the idle-park bugfix: the legacy loop advanced
-//! *every* core of a shared DVFS domain each quantum, finished or not;
-//! the production engines drop finished cores from their live sets, so
-//! an idle window contributes zero per-core step events to telemetry.
-//! Finally it asserts the arena scheduler's hot loop is allocation-free
-//! once its thread-local scratch is warm, via the telemetry
-//! `EngineScratchAllocs` counter.
+//! The suite also pins the idle-park behaviour: finished cores leave
+//! the scheduler's live set, so an idle window contributes zero per-core
+//! step events to telemetry. Finally it asserts the arena scheduler's
+//! hot loop is allocation-free once its thread-local scratch is warm,
+//! via the telemetry `EngineScratchAllocs` counter.
 
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
-use suit::sim::engine::{run_stream, simulate, simulate_mixed, SimConfig};
+use suit::sim::engine::{
+    run_stream, simulate, simulate_mixed, simulate_mixed_telemetry, simulate_telemetry, SimConfig,
+};
 use suit::sim::fleet::{FleetConfig, FleetSim};
-use suit::sim::{heap_ref, legacy};
+use suit::sim::legacy;
 use suit::telemetry::{Counter, Telemetry};
 use suit::trace::{profile, TraceGen};
 
@@ -50,9 +50,21 @@ fn strategies(level: UndervoltLevel) -> Vec<(&'static str, SimConfig)> {
     vec![("fv", fv), ("f", f), ("V", v)]
 }
 
+/// Every counter except `EngineScratchAllocs`, which tracks the arena's
+/// thread-local scratch (the reference builds a private arena per run).
+fn counters(tele: &Telemetry) -> Vec<(&'static str, u64)> {
+    let snap = tele.snapshot();
+    Counter::ALL
+        .iter()
+        .filter(|&&c| c != Counter::EngineScratchAllocs)
+        .map(|&c| (c.name(), snap.counter(c)))
+        .collect()
+}
+
 /// Every (workload × strategy) cell, one production arena run against
-/// both references, compared byte-for-byte — fanned out at both 1 and 4
-/// threads, which must also agree with each other.
+/// the reference, compared byte-for-byte and counter-for-counter —
+/// fanned out at both 1 and 4 threads, which must also agree with each
+/// other.
 #[test]
 fn all_workloads_all_strategies_match_legacy() {
     let cpu = CpuModel::xeon_4208();
@@ -70,11 +82,17 @@ fn all_workloads_all_strategies_match_legacy() {
         suit::exec::run(cells.len(), threads, |i| {
             let (name, cfg) = &cells[i];
             let p = profile::by_name(name).expect("known profile");
-            let new = simulate(&cpu, p, cfg);
-            let heap = heap_ref::simulate(&cpu, p, cfg);
-            let old = legacy::simulate(&cpu, p, cfg);
-            assert_eq!(new, heap, "{name} {:?} diverged from heap", cfg.strategy);
+            let (tele_new, tele_old) = (Telemetry::with_capacity(0), Telemetry::with_capacity(0));
+            let new = simulate_telemetry(&cpu, p, cfg, &tele_new);
+            let profiles = vec![p; cfg.cores];
+            let old = legacy::simulate_mixed_telemetry(&cpu, &profiles, cfg, &tele_old).domain;
             assert_eq!(new, old, "{name} {:?} diverged from legacy", cfg.strategy);
+            assert_eq!(
+                counters(&tele_new),
+                counters(&tele_old),
+                "{name} {:?} counters diverged from legacy",
+                cfg.strategy
+            );
             format!("{new:?}")
         })
     };
@@ -93,19 +111,20 @@ fn consolidation_mixes_match_legacy() {
     let cfg = SimConfig::fv_intel(UndervoltLevel::Mv97).with_max_insts(INSTS);
     for name in profile::MIX_NAMES {
         let workloads = profile::mix(name).expect("known mix");
-        let new = simulate_mixed(&cpu, &workloads, &cfg);
-        let heap = heap_ref::simulate_mixed(&cpu, &workloads, &cfg);
-        let old = legacy::simulate_mixed(&cpu, &workloads, &cfg);
-        assert_eq!(
-            format!("{new:?}"),
-            format!("{heap:?}"),
-            "mix '{name}' diverged from the event-heap reference"
-        );
+        let (tele_new, tele_old) = (Telemetry::with_capacity(0), Telemetry::with_capacity(0));
+        let new = simulate_mixed_telemetry(&cpu, &workloads, &cfg, &tele_new);
+        let old = legacy::simulate_mixed_telemetry(&cpu, &workloads, &cfg, &tele_old);
         assert_eq!(
             format!("{new:?}"),
             format!("{old:?}"),
             "mix '{name}' diverged from legacy"
         );
+        assert_eq!(
+            counters(&tele_new),
+            counters(&tele_old),
+            "mix '{name}' counters diverged from legacy"
+        );
+        assert!(tele_new.snapshot().counter(Counter::EngineQuanta) > 0);
     }
 }
 
@@ -124,13 +143,7 @@ fn streamed_traces_match_legacy() {
         let cfg = cfg.with_max_insts(INSTS);
         let bursts: Vec<suit::trace::Burst> = TraceGen::new(p, 0x5EED).collect();
         let new = run_stream(&cpu, &meta, bursts.iter().copied(), &cfg);
-        let heap = heap_ref::run_stream(&cpu, &meta, bursts.iter().copied(), &cfg);
         let old = legacy::run_stream(&cpu, &meta, bursts.iter().copied(), &cfg);
-        assert_eq!(
-            format!("{new:?}"),
-            format!("{heap:?}"),
-            "streamed {label} diverged from the event-heap reference"
-        );
         assert_eq!(
             format!("{new:?}"),
             format!("{old:?}"),
@@ -139,8 +152,8 @@ fn streamed_traces_match_legacy() {
     }
 }
 
-/// A ≥1024-core fleet: byte-identical across thread counts, and the
-/// component-scheduler driver reproduces the sharded result exactly.
+/// A ≥1024-core fleet: byte-identical across thread counts (one thread
+/// runs the epochs inline, the serial reference).
 #[test]
 fn kilo_core_fleet_is_engine_invariant() {
     let cfg = FleetConfig {
@@ -157,8 +170,6 @@ fn kilo_core_fleet_is_engine_invariant() {
     let t1 = sim.run(Threads::Fixed(1));
     let t4 = sim.run(Threads::Fixed(4));
     assert_eq!(format!("{t1:?}"), format!("{t4:?}"), "thread-dependent");
-    let ev = sim.run_event_driven();
-    assert_eq!(format!("{t1:?}"), format!("{ev:?}"), "driver-dependent");
     assert!(t1.events() > 0, "fleet simulated nothing");
 }
 

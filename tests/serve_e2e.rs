@@ -118,6 +118,10 @@ fn malformed_bodies_are_400_with_structured_json_never_a_panic() {
         "{\"workload\":\"557.xz\",\"insts\":0}",
         "{\"workload\":\"557.xz\",\"strategy\":\"warp\"}",
         "{\"workload\":\"557.xz\",\"seed\":-1}",
+        // Past MAX_DOMAIN_CORES: a billion cores would otherwise reach the
+        // engine's per-core allocation and abort the whole process.
+        "{\"workload\":\"557.xz\",\"cores\":1000000000,\"insts\":1000}",
+        "{\"workload\":\"557.xz\",\"cores\":257}",
     ] {
         let resp = request(&addr, "POST", "/v1/simulate", Some(bad), TIMEOUT).expect("request");
         assert_eq!(resp.status, 400, "body {bad:?}: {}", resp.text().unwrap());
