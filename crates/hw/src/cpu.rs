@@ -28,6 +28,20 @@ pub enum CpuKind {
     IntelI5_1035G1,
 }
 
+impl CpuKind {
+    /// The request key naming this CPU on the CLI, in configs and in
+    /// `/v1` bodies: `a`, `b` or `c`. The i5 is `d`, which no request
+    /// accepts ([`CpuModel::by_key`] resolves the evaluated three only).
+    pub fn key(self) -> &'static str {
+        match self {
+            CpuKind::IntelI9_9900K => "a",
+            CpuKind::AmdRyzen7700X => "b",
+            CpuKind::IntelXeon4208 => "c",
+            CpuKind::IntelI5_1035G1 => "d",
+        }
+    }
+}
+
 /// DVFS-domain granularity (§6.2, "Simulated CPUs").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DomainLayout {
@@ -62,6 +76,17 @@ impl UndervoltLevel {
 
     /// Both evaluated levels.
     pub const ALL: [UndervoltLevel; 2] = [UndervoltLevel::Mv70, UndervoltLevel::Mv97];
+
+    /// The request key naming this level: the offset's magnitude in mV
+    /// (`70` or `97`).
+    pub fn key(self) -> u64 {
+        -self.offset_mv() as u64
+    }
+
+    /// The level a request key names, if any.
+    pub fn by_key(key: u64) -> Option<UndervoltLevel> {
+        Self::ALL.into_iter().find(|l| l.key() == key)
+    }
 }
 
 impl core::fmt::Display for UndervoltLevel {
@@ -81,7 +106,7 @@ pub struct OperatingPoint {
 }
 
 /// A complete CPU model consumed by the trace-driven simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Which CPU this is.
     pub kind: CpuKind,
@@ -213,6 +238,21 @@ impl CpuModel {
     pub fn evaluated() -> [CpuModel; 3] {
         [Self::i9_9900k(), Self::ryzen_7700x(), Self::xeon_4208()]
     }
+
+    /// The evaluated CPU a request key names ([`CpuKind::key`]), if any.
+    /// Builds only that model: request validation calls this per body.
+    pub fn by_key(key: &str) -> Option<CpuModel> {
+        let evaluated = [
+            CpuKind::IntelI9_9900K,
+            CpuKind::AmdRyzen7700X,
+            CpuKind::IntelXeon4208,
+        ];
+        match evaluated.into_iter().find(|k| k.key() == key)? {
+            CpuKind::IntelI9_9900K => Some(Self::i9_9900k()),
+            CpuKind::AmdRyzen7700X => Some(Self::ryzen_7700x()),
+            _ => Some(Self::xeon_4208()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -275,5 +315,15 @@ mod tests {
         assert_eq!(UndervoltLevel::Mv70.offset_mv(), -70.0);
         assert_eq!(UndervoltLevel::Mv97.offset_mv(), -97.0);
         assert_eq!(format!("{}", UndervoltLevel::Mv97), "-97 mV");
+        assert_eq!(UndervoltLevel::by_key(70), Some(UndervoltLevel::Mv70));
+        assert_eq!(UndervoltLevel::by_key(80), None);
+    }
+
+    #[test]
+    fn request_keys_name_the_evaluated_cpus() {
+        let keys = CpuModel::evaluated().map(|c| c.kind.key());
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(CpuModel::by_key("b"), Some(CpuModel::ryzen_7700x()));
+        assert_eq!(CpuModel::by_key("d"), None);
     }
 }

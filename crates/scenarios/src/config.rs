@@ -10,7 +10,9 @@
 //! stack: `suit-cli scenario sram|scrooge --config <file>` (the
 //! `"scenario"` discriminator is optional — the subcommand names it) and
 //! `POST /v1/scenario` (the discriminator is required; service-level
-//! keys like `deadline_ms` are passed through `skip`).
+//! keys like `deadline_ms` are passed through `skip`). Each config also
+//! writes its canonical document (`canonical`), which its parser reads
+//! back to the same config; the service keys its result cache on it.
 
 use suit_hw::UndervoltLevel;
 use suit_sim::fleet::FleetConfig;
@@ -132,7 +134,11 @@ impl SramScenarioConfig {
                         .ok_or_else(|| "'sigma_mv' must be a number".to_string())?;
                 }
                 "offsets_mv" => cfg.offsets_mv = json::numbers(value, key)?,
-                "reads" => cfg.reads = json::count(value, key)? as u32,
+                // Bounded before narrowing, so 2^32 + 1 cannot wrap to 1.
+                "reads" => {
+                    cfg.reads = u32::try_from(json::count(value, key)?)
+                        .map_err(|_| format!("reads must be in 1..={MAX_READS}"))?;
+                }
                 "audit_len" => cfg.audit_len = json::count(value, key)? as usize,
                 "cores" => cfg.cores = json::count(value, key)? as usize,
                 "seed" => cfg.seed = json::count(value, key)?,
@@ -141,6 +147,26 @@ impl SramScenarioConfig {
         }
         cfg.validate()?;
         Ok(cfg)
+    }
+
+    /// The canonical document: the `"scenario"` tag and every field in
+    /// declaration order, floats in Rust's shortest round-trip form.
+    /// [`Self::from_json`] parses it back to `self`, and
+    /// `POST /v1/scenario` keys its result cache on it.
+    pub fn canonical(&self) -> String {
+        let offsets: Vec<String> = self.offsets_mv.iter().map(f64::to_string).collect();
+        format!(
+            "{{\"scenario\":\"sram\",\"cache_banks\":{},\"rob_banks\":{},\"sigma_mv\":{},\
+             \"offsets_mv\":[{}],\"reads\":{},\"audit_len\":{},\"cores\":{},\"seed\":{}}}",
+            self.cache_banks,
+            self.rob_banks,
+            self.sigma_mv,
+            offsets.join(","),
+            self.reads,
+            self.audit_len,
+            self.cores,
+            self.seed
+        )
     }
 }
 
@@ -321,12 +347,7 @@ impl ScroogeConfig {
                 "cores_per_domain" => cfg.cores_per_domain = json::count(value, key)? as usize,
                 "epochs" => cfg.epochs = json::count(value, key)? as usize,
                 "epoch_insts" => cfg.epoch_insts = json::count(value, key)?,
-                "workload" => {
-                    cfg.workload = value
-                        .as_str()
-                        .ok_or_else(|| "'workload' must be a string".to_string())?
-                        .to_string();
-                }
+                "workload" => cfg.workload = json::string(value, key)?,
                 "sigma_mv" => cfg.sigma_mv = json::number(value, key)?,
                 "cache_banks" => cfg.cache_banks = json::count(value, key)? as usize,
                 "rob_banks" => cfg.rob_banks = json::count(value, key)? as usize,
@@ -348,6 +369,40 @@ impl ScroogeConfig {
         }
         cfg.validate()?;
         Ok(cfg)
+    }
+
+    /// The canonical document, as [`SramScenarioConfig::canonical`].
+    pub fn canonical(&self) -> String {
+        format!(
+            "{{\"scenario\":\"scrooge\",\"racks\":{},\"domains_per_rack\":{},\
+             \"cores_per_domain\":{},\"epochs\":{},\"epoch_insts\":{},\"workload\":{},\
+             \"sigma_mv\":{},\"cache_banks\":{},\"rob_banks\":{},\"offset_min_mv\":{},\
+             \"offset_steps\":{},\"freq_min\":{},\"freq_steps\":{},\"refine_rounds\":{},\
+             \"energy_price\":{},\"crash_cost\":{},\"sdc_cost\":{},\"sla_cost\":{},\
+             \"domain_power_w\":{},\"horizon_hours\":{},\"audit_len\":{},\"seed\":{}}}",
+            self.racks,
+            self.domains_per_rack,
+            self.cores_per_domain,
+            self.epochs,
+            self.epoch_insts,
+            json::escape(&self.workload),
+            self.sigma_mv,
+            self.cache_banks,
+            self.rob_banks,
+            self.offset_min_mv,
+            self.offset_steps,
+            self.freq_min,
+            self.freq_steps,
+            self.refine_rounds,
+            self.energy_price,
+            self.crash_cost,
+            self.sdc_cost,
+            self.sla_cost,
+            self.domain_power_w,
+            self.horizon_hours,
+            self.audit_len,
+            self.seed
+        )
     }
 }
 
@@ -383,6 +438,15 @@ impl ScenarioConfig {
                 "unknown scenario '{other}' (expected \"sram\" or \"scrooge\")"
             )),
             None => Err("missing 'scenario' (\"sram\" or \"scrooge\")".to_string()),
+        }
+    }
+
+    /// The canonical document of the config ([`Self::from_json`] parses
+    /// it back to `self`).
+    pub fn canonical(&self) -> String {
+        match self {
+            ScenarioConfig::Sram(c) => c.canonical(),
+            ScenarioConfig::Scrooge(c) => c.canonical(),
         }
     }
 }

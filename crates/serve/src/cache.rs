@@ -12,12 +12,16 @@
 //! Three pieces live here:
 //!
 //! * **Canonicalization** ([`canonical_job`]) — maps every *accepted*
-//!   request body onto a single canonical JSON form: validated fields
-//!   only, defaults filled in, keys sorted, floats in Rust's shortest
-//!   round-trip form. Two bodies that differ in key order, whitespace,
-//!   or spelled-out defaults canonicalize identically and share a cache
-//!   entry. The request deadline is deliberately excluded: it bounds
-//!   *when* a job may run, never *what* it computes.
+//!   request body onto a single canonical JSON form: the body its
+//!   validated type writes beside its parser (`api.rs` for points,
+//!   batches, faults and trace replays; `suit-scenarios` for scenario
+//!   configs), with every default filled in, fields in a fixed order and
+//!   floats in Rust's shortest round-trip form, plus an `endpoint` tag.
+//!   The parser reads each body back to the same job, so two bodies
+//!   share a cache entry exactly when they validate to the same job;
+//!   key order, whitespace and spelled-out defaults do not matter. The
+//!   request deadline is deliberately excluded: it bounds *when* a job
+//!   may run, never *what* it computes.
 //! * **Content hash** ([`content_hash`] / [`etag_for`]) — FNV-1a 128
 //!   over the canonical bytes, zero dependencies. The hex digest is the
 //!   strong `ETag` advertised on cacheable responses; the cache itself
@@ -34,171 +38,32 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::api::{BatchSpec, Job, SimPoint};
+use crate::api::Job;
 use crate::http::Response;
-use suit_hw::{CpuKind, UndervoltLevel};
-use suit_scenarios::ScenarioConfig;
-use suit_telemetry::json::escape;
 
 // ---------------------------------------------------------------------------
 // Canonicalization
 // ---------------------------------------------------------------------------
 
-/// The canonical JSON form of a validated job: sorted keys, all defaults
-/// filled, canonical float formatting, and an `endpoint` discriminator so
-/// the three endpoints can never alias. This string *is* the cache key.
+/// The canonical form of a validated job, and its cache key: the
+/// canonical body its own type writes beside its parser (a body the
+/// endpoint accepts, defaults spelled out), tagged with the endpoint so
+/// endpoints can never alias.
 pub fn canonical_job(job: &Job) -> String {
-    match job {
-        Job::Simulate(point) => format!(
-            "{{\"endpoint\":\"simulate\",{}}}",
-            canonical_point(point, Some(&point.workload))
-        ),
-        Job::Batch(BatchSpec::Table6 { max_insts }) => format!(
-            "{{\"endpoint\":\"batch\",\"max_insts\":{},\"sweep\":\"table6\"}}",
-            canonical_opt_u64(*max_insts)
-        ),
-        Job::Batch(BatchSpec::Workloads {
-            workloads,
-            template,
-        }) => {
-            let names: Vec<String> = workloads.iter().map(|w| escape(w)).collect();
-            format!(
-                "{{\"endpoint\":\"batch\",{},\"workloads\":[{}]}}",
-                canonical_point(template, None),
-                names.join(",")
-            )
-        }
-        Job::Faults(spec) => format!(
-            "{{\"cores\":{},\"endpoint\":\"faults\",\"executions\":{},\"seed\":{},\"sigma_mv\":{}}}",
-            spec.cores,
-            spec.executions,
-            spec.seed,
-            canonical_f64(spec.sigma_mv)
-        ),
-        // The trace ID is itself content-addressed over the container
-        // bytes, so `(id, config)` fully determines the response and the
-        // stored bytes never need to enter the key.
-        Job::SimulateTrace(tj) => {
-            let strategies: Vec<String> = tj.spec.strategies.iter().map(|s| escape(s)).collect();
-            format!(
-                "{{\"cpu\":\"{}\",\"endpoint\":\"simulate-trace\",\"insts\":{},\"offset\":{},\
-                 \"seed\":{},\"strategies\":[{}],\"trace\":{}}}",
-                cpu_key(tj.spec.cpu.kind),
-                canonical_opt_u64(tj.spec.insts),
-                offset_key(tj.spec.level),
-                tj.spec.seed,
-                strategies.join(","),
-                escape(&tj.spec.trace)
-            )
-        }
-        Job::Scenario(cfg) => canonical_scenario(cfg),
-    }
-}
-
-/// The shared point fields, sorted, without the surrounding braces so
-/// callers can splice endpoint-specific keys around them.
-fn canonical_point(p: &SimPoint, workload: Option<&str>) -> String {
-    let workload = match workload {
-        Some(w) => format!(",\"workload\":{}", escape(w)),
-        None => String::new(),
+    let (mut key, endpoint) = match job {
+        Job::Simulate(point) => (point.canonical(), "simulate"),
+        Job::Batch(spec) => (spec.canonical(), "batch"),
+        Job::Faults(spec) => (spec.canonical(), "faults"),
+        Job::SimulateTrace(tj) => (tj.spec.canonical(), "simulate-trace"),
+        Job::Scenario(cfg) => (cfg.canonical(), "scenario"),
     };
-    format!(
-        "\"cores\":{},\"cpu\":\"{}\",\"insts\":{},\"offset\":{},\"seed\":{},\"strategy\":{}{}",
-        p.cores,
-        cpu_key(p.cpu.kind),
-        canonical_opt_u64(p.insts),
-        offset_key(p.level),
-        p.seed,
-        escape(&p.strategy),
-        workload
-    )
-}
-
-/// Canonical form of a scenario config: every field spelled out, keys
-/// sorted, so bodies relying on defaults and bodies naming them share a
-/// cache entry.
-fn canonical_scenario(cfg: &ScenarioConfig) -> String {
-    match cfg {
-        ScenarioConfig::Sram(c) => {
-            let offsets: Vec<String> = c.offsets_mv.iter().map(|o| canonical_f64(*o)).collect();
-            format!(
-                "{{\"audit_len\":{},\"cache_banks\":{},\"cores\":{},\"endpoint\":\"scenario\",\
-                 \"offsets_mv\":[{}],\"reads\":{},\"rob_banks\":{},\"scenario\":\"sram\",\
-                 \"seed\":{},\"sigma_mv\":{}}}",
-                c.audit_len,
-                c.cache_banks,
-                c.cores,
-                offsets.join(","),
-                c.reads,
-                c.rob_banks,
-                c.seed,
-                canonical_f64(c.sigma_mv)
-            )
-        }
-        ScenarioConfig::Scrooge(c) => format!(
-            "{{\"audit_len\":{},\"cache_banks\":{},\"cores_per_domain\":{},\"crash_cost\":{},\
-             \"domain_power_w\":{},\"domains_per_rack\":{},\"endpoint\":\"scenario\",\
-             \"energy_price\":{},\"epoch_insts\":{},\"epochs\":{},\"freq_min\":{},\
-             \"freq_steps\":{},\"horizon_hours\":{},\"offset_min_mv\":{},\"offset_steps\":{},\
-             \"racks\":{},\"refine_rounds\":{},\"rob_banks\":{},\"scenario\":\"scrooge\",\
-             \"sdc_cost\":{},\"seed\":{},\"sigma_mv\":{},\"sla_cost\":{},\"workload\":{}}}",
-            c.audit_len,
-            c.cache_banks,
-            c.cores_per_domain,
-            canonical_f64(c.crash_cost),
-            canonical_f64(c.domain_power_w),
-            c.domains_per_rack,
-            canonical_f64(c.energy_price),
-            c.epoch_insts,
-            c.epochs,
-            canonical_f64(c.freq_min),
-            c.freq_steps,
-            canonical_f64(c.horizon_hours),
-            canonical_f64(c.offset_min_mv),
-            c.offset_steps,
-            c.racks,
-            c.refine_rounds,
-            c.rob_banks,
-            canonical_f64(c.sdc_cost),
-            c.seed,
-            canonical_f64(c.sigma_mv),
-            canonical_f64(c.sla_cost),
-            escape(&c.workload)
-        ),
-    }
-}
-
-fn canonical_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".into(),
-    }
-}
-
-/// Canonical float text: Rust's shortest round-trip `Display`, which is
-/// deterministic across platforms. Only finite values can reach here —
-/// the validators reject non-finite numbers with a `400` — so this is a
-/// hard assertion, not a silent `null`.
-fn canonical_f64(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite float escaped validation");
-    format!("{v}")
-}
-
-fn cpu_key(kind: CpuKind) -> &'static str {
-    match kind {
-        CpuKind::IntelI9_9900K => "a",
-        CpuKind::AmdRyzen7700X => "b",
-        CpuKind::IntelXeon4208 => "c",
-        // Not reachable from the API today, but keep the mapping total.
-        CpuKind::IntelI5_1035G1 => "d",
-    }
-}
-
-fn offset_key(level: UndervoltLevel) -> u32 {
-    match level {
-        UndervoltLevel::Mv70 => 70,
-        UndervoltLevel::Mv97 => 97,
-    }
+    // Every canonical body is a nonempty object: splice the tag in
+    // before its closing brace.
+    key.pop();
+    key.push_str(",\"endpoint\":\"");
+    key.push_str(endpoint);
+    key.push_str("\"}");
+    key
 }
 
 // ---------------------------------------------------------------------------

@@ -416,7 +416,11 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 }
             }
         }
-        (Method::Post, "/v1/simulate-trace") => {
+        (
+            Method::Post,
+            path @ ("/v1/simulate" | "/v1/batch" | "/v1/faults" | "/v1/scenario"
+            | "/v1/simulate-trace"),
+        ) => {
             let body = match std::str::from_utf8(&request.body) {
                 Ok(s) => s,
                 Err(_) => {
@@ -424,56 +428,36 @@ fn dispatch(state: &State, request: &Request) -> Response {
                     return Response::error(400, "request body is not valid UTF-8");
                 }
             };
-            match api::parse_simulate_trace(body) {
-                Err(api::BadRequest(msg)) => {
-                    state.tele.count(Counter::ServeBadRequests);
-                    Response::error(400, &msg)
-                }
-                Ok((spec, deadline_ms)) => match state.traces.get(&spec.trace) {
-                    None => {
-                        state.tele.count(Counter::ServeBadRequests);
-                        Response::error(
-                            404,
-                            &format!(
-                                "no stored trace '{}' (upload it with POST /v1/trace)",
-                                spec.trace
-                            ),
-                        )
-                    }
-                    Some(stored) => {
-                        let deadline =
-                            Deadline::after_ms(deadline_ms.or(state.cfg.default_deadline_ms));
-                        let job = api::Job::SimulateTrace(Box::new(api::TraceJob { spec, stored }));
-                        submit_cached(
-                            state,
-                            request,
-                            job,
-                            Endpoint::SimulateTrace,
-                            deadline,
-                            started,
-                        )
-                    }
-                },
-            }
-        }
-        (Method::Post, path @ ("/v1/simulate" | "/v1/batch" | "/v1/faults" | "/v1/scenario")) => {
-            let body = match std::str::from_utf8(&request.body) {
-                Ok(s) => s,
-                Err(_) => {
-                    state.tele.count(Counter::ServeBadRequests);
-                    return Response::error(400, "request body is not valid UTF-8");
-                }
-            };
+            let bad = |api::BadRequest(msg)| Response::error(400, &msg);
             let (endpoint, parsed) = match path {
-                "/v1/simulate" => (Endpoint::Simulate, api::parse_simulate(body)),
-                "/v1/batch" => (Endpoint::Batch, api::parse_batch(body)),
-                "/v1/scenario" => (Endpoint::Scenario, api::parse_scenario(body)),
-                _ => (Endpoint::Faults, api::parse_faults(body)),
+                "/v1/simulate" => (Endpoint::Simulate, api::parse_simulate(body).map_err(bad)),
+                "/v1/batch" => (Endpoint::Batch, api::parse_batch(body).map_err(bad)),
+                "/v1/scenario" => (Endpoint::Scenario, api::parse_scenario(body).map_err(bad)),
+                "/v1/faults" => (Endpoint::Faults, api::parse_faults(body).map_err(bad)),
+                // A replay also resolves its trace ID against the store.
+                _ => (
+                    Endpoint::SimulateTrace,
+                    api::parse_simulate_trace(body)
+                        .map_err(bad)
+                        .and_then(|(spec, deadline_ms)| match state.traces.get(&spec.trace) {
+                            Some(stored) => {
+                                let job = api::TraceJob { spec, stored };
+                                Ok((api::Job::SimulateTrace(Box::new(job)), deadline_ms))
+                            }
+                            None => Err(Response::error(
+                                404,
+                                &format!(
+                                    "no stored trace '{}' (upload it with POST /v1/trace)",
+                                    spec.trace
+                                ),
+                            )),
+                        }),
+                ),
             };
             match parsed {
-                Err(api::BadRequest(msg)) => {
+                Err(resp) => {
                     state.tele.count(Counter::ServeBadRequests);
-                    Response::error(400, &msg)
+                    resp
                 }
                 Ok((job, deadline_ms)) => {
                     let deadline =

@@ -26,7 +26,7 @@ use crate::cache::content_hash;
 
 /// One stored trace: the exact uploaded container bytes plus the
 /// summary the upload response and `GET /v1/trace/<id>` report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredTrace {
     /// The container bytes (shared so queued replay jobs clone cheaply).
     pub bytes: Arc<Vec<u8>>,

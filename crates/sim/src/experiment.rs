@@ -7,7 +7,7 @@
 //! performance / efficiency deltas.
 
 use suit_core::strategy::StrategyParams;
-use suit_core::OperatingStrategy;
+use suit_core::{AdaptiveConfig, OperatingStrategy};
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
 use suit_trace::{profile, WorkloadProfile};
@@ -76,6 +76,45 @@ pub fn params_for(cpu: &CpuModel) -> StrategyParams {
     match cpu.kind {
         suit_hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
         _ => StrategyParams::intel(),
+    }
+}
+
+/// The strategy a request's strategy key names (`suit-cli --strategy`,
+/// fleet configs, `/v1` bodies), and whether the §6.8 adaptive chooser
+/// drives it. `e` names [`OperatingStrategy::Emulation`], which
+/// [`run_point`] sends down the closed-form path instead of the engine.
+pub fn strategy_for_key(key: &str) -> Option<(OperatingStrategy, bool)> {
+    match key {
+        "fv" => Some((OperatingStrategy::FreqVolt, false)),
+        "f" => Some((OperatingStrategy::Frequency, false)),
+        "v" => Some((OperatingStrategy::Voltage, false)),
+        "e" => Some((OperatingStrategy::Emulation, false)),
+        "adaptive" => Some((OperatingStrategy::FreqVolt, true)),
+        _ => None,
+    }
+}
+
+/// The single-core run a strategy key names on `cpu` at `level`: the
+/// key's strategy, the CPU's Table 7 parameters and, for `adaptive`,
+/// the CPU's §6.8 chooser. Callers set cores, seed and the cap.
+pub fn config_for_key(cpu: &CpuModel, key: &str, level: UndervoltLevel) -> Option<SimConfig> {
+    let (strategy, adaptive) = strategy_for_key(key)?;
+    Some(SimConfig {
+        strategy,
+        params: params_for(cpu),
+        adaptive: adaptive.then(|| AdaptiveConfig::for_cpu(&cpu.delays)),
+        ..SimConfig::fv_intel(level)
+    })
+}
+
+/// Runs one workload point: [`OperatingStrategy::Emulation`] closed-form
+/// over the analytic profile, every other strategy on the engine.
+pub fn run_point(cpu: &CpuModel, p: &WorkloadProfile, cfg: &SimConfig) -> RunResult {
+    match cfg.strategy {
+        OperatingStrategy::Emulation => {
+            simulate_emulation(cpu, p, cfg.level, cfg.seed, cfg.max_insts)
+        }
+        _ => simulate(cpu, p, cfg),
     }
 }
 
@@ -269,22 +308,17 @@ fn run_workload(
     params: StrategyParams,
     max_insts: Option<u64>,
 ) -> RunResult {
-    match spec.strategy {
-        OperatingStrategy::Emulation => simulate_emulation(&spec.cpu, p, level, 0x5017, max_insts),
-        strategy => {
-            let cfg = SimConfig {
-                strategy,
-                params,
-                level,
-                cores: spec.cores,
-                seed: 0x5017,
-                max_insts,
-                record_timeline: false,
-                adaptive: None,
-            };
-            simulate(&spec.cpu, p, &cfg)
-        }
-    }
+    let cfg = SimConfig {
+        strategy: spec.strategy,
+        params,
+        level,
+        cores: spec.cores,
+        seed: 0x5017,
+        max_insts,
+        record_timeline: false,
+        adaptive: None,
+    };
+    run_point(&spec.cpu, p, &cfg)
 }
 
 /// Table 8: for each configuration, in how many of the 23 SPEC benchmarks
@@ -321,6 +355,27 @@ mod tests {
         assert_eq!(rows[0].label, "A1 fV");
         assert_eq!(rows[1].cores, 4);
         assert!(matches!(rows[2].strategy, OperatingStrategy::Emulation));
+    }
+
+    #[test]
+    fn strategy_keys_name_engine_configs() {
+        let amd = CpuModel::ryzen_7700x();
+        let cfg = config_for_key(&amd, "f", UndervoltLevel::Mv70).unwrap();
+        assert_eq!(cfg.strategy, OperatingStrategy::Frequency);
+        assert_eq!(cfg.params, params_for(&amd));
+        assert_eq!(
+            (cfg.level, cfg.cores, cfg.adaptive),
+            (UndervoltLevel::Mv70, 1, None)
+        );
+        let adaptive = config_for_key(&amd, "adaptive", UndervoltLevel::Mv97).unwrap();
+        assert_eq!(adaptive.strategy, OperatingStrategy::FreqVolt);
+        assert_eq!(
+            adaptive.adaptive,
+            Some(AdaptiveConfig::for_cpu(&amd.delays))
+        );
+        let e = strategy_for_key("e").unwrap();
+        assert_eq!(e, (OperatingStrategy::Emulation, false));
+        assert!(config_for_key(&amd, "warp", UndervoltLevel::Mv97).is_none());
     }
 
     #[test]

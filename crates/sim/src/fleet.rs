@@ -45,7 +45,8 @@ use suit_rng::{RngCore, SuitRng};
 use suit_telemetry::{json, Telemetry, TelemetrySnapshot};
 use suit_trace::{profile, WorkloadProfile};
 
-use crate::engine::{simulate_telemetry, SimConfig};
+use crate::engine::{simulate_telemetry, SimConfig, MAX_DOMAIN_CORES};
+use crate::experiment::{params_for, strategy_for_key};
 use crate::result::RunResult;
 
 /// Upper bound on racks.
@@ -71,8 +72,8 @@ pub const MAX_WORKLOADS: usize = 4096;
 /// (and every count *before* any allocation derived from it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// CPU model: `'a'` (i9-9900K), `'b'` (Ryzen 7700X), `'c'`
-    /// (Xeon 4208).
+    /// CPU model key ([`suit_hw::CpuKind::key`]): `'a'` (i9-9900K),
+    /// `'b'` (Ryzen 7700X), `'c'` (Xeon 4208).
     pub cpu: char,
     /// Operating strategy (a curve-switching one: 𝑓𝑉, 𝑓 or 𝑉).
     pub strategy: OperatingStrategy,
@@ -127,10 +128,25 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// The curve-switching strategy a fleet strategy key names: `fv`,
+    /// `f` or `v` (a fleet runs neither emulation nor the adaptive
+    /// chooser).
+    pub fn strategy_for_key(key: &str) -> Option<OperatingStrategy> {
+        match strategy_for_key(key)? {
+            (OperatingStrategy::Emulation, _) | (_, true) => None,
+            (strategy, false) => Some(strategy),
+        }
+    }
+
+    /// The CPU model the `cpu` key names, if it names one.
+    fn cpu_model(&self) -> Option<CpuModel> {
+        CpuModel::by_key(self.cpu.encode_utf8(&mut [0; 4]))
+    }
+
     /// Validates every field; counts are bounds-checked with checked
     /// arithmetic before anything is allocated from them.
     pub fn validate(&self) -> Result<(), String> {
-        if !matches!(self.cpu, 'a' | 'b' | 'c') {
+        if self.cpu_model().is_none() {
             return Err(format!("unknown cpu '{}' (a|b|c)", self.cpu));
         }
         if matches!(self.strategy, OperatingStrategy::Emulation) {
@@ -201,6 +217,13 @@ impl FleetConfig {
                 }
             }
         }
+        // Last, so every config rejected before this bound keeps its
+        // error text.
+        if self.cores_per_domain > MAX_DOMAIN_CORES {
+            return Err(format!(
+                "cores_per_domain must be at most {MAX_DOMAIN_CORES}"
+            ));
+        }
         Ok(())
     }
 
@@ -220,9 +243,7 @@ impl FleetConfig {
         for (key, value) in pairs {
             match key.as_str() {
                 "cpu" => {
-                    let s = value
-                        .as_str()
-                        .ok_or_else(|| "'cpu' must be a string".to_string())?;
+                    let s = json::string(value, key)?;
                     let mut chars = s.chars();
                     cfg.cpu = match (chars.next(), chars.next()) {
                         (Some(c), None) => c,
@@ -230,19 +251,16 @@ impl FleetConfig {
                     };
                 }
                 "strategy" => {
-                    cfg.strategy = match value.as_str() {
-                        Some("fv") => OperatingStrategy::FreqVolt,
-                        Some("f") => OperatingStrategy::Frequency,
-                        Some("v") => OperatingStrategy::Voltage,
-                        _ => return Err("'strategy' must be \"fv\", \"f\" or \"v\"".to_string()),
-                    };
+                    cfg.strategy = value
+                        .as_str()
+                        .and_then(FleetConfig::strategy_for_key)
+                        .ok_or_else(|| "'strategy' must be \"fv\", \"f\" or \"v\"".to_string())?;
                 }
                 "offset" => {
-                    cfg.level = match value.as_f64() {
-                        Some(70.0) => UndervoltLevel::Mv70,
-                        Some(97.0) => UndervoltLevel::Mv97,
-                        _ => return Err("'offset' must be 70 or 97".to_string()),
-                    };
+                    cfg.level = json::count(value, key)
+                        .ok()
+                        .and_then(UndervoltLevel::by_key)
+                        .ok_or_else(|| "'offset' must be 70 or 97".to_string())?;
                 }
                 "racks" => cfg.racks = json::count(value, key)? as usize,
                 "domains_per_rack" => cfg.domains_per_rack = json::count(value, key)? as usize,
@@ -532,15 +550,8 @@ impl FleetSim {
     /// and workload profiles.
     pub fn new(cfg: FleetConfig) -> Result<FleetSim, String> {
         cfg.validate()?;
-        let cpu = match cfg.cpu {
-            'a' => CpuModel::i9_9900k(),
-            'b' => CpuModel::ryzen_7700x(),
-            _ => CpuModel::xeon_4208(),
-        };
-        let params = match cfg.cpu {
-            'b' => StrategyParams::amd(),
-            _ => StrategyParams::intel(),
-        };
+        let cpu = cfg.cpu_model().expect("validated");
+        let params = params_for(&cpu);
         let profiles: Vec<&'static WorkloadProfile> = cfg
             .workloads
             .iter()

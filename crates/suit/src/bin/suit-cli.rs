@@ -19,11 +19,10 @@
 
 use std::process::ExitCode;
 
-use suit::core::strategy::StrategyParams;
 use suit::core::OperatingStrategy;
 use suit::hw::{CpuModel, UndervoltLevel};
-use suit::sim::analytic::simulate_emulation;
-use suit::sim::engine::{simulate, simulate_telemetry, SimConfig};
+use suit::sim::engine::{simulate_telemetry, SimConfig};
+use suit::sim::experiment::{config_for_key, params_for, run_point};
 use suit::telemetry::{validate_perfetto, Telemetry};
 use suit::trace::io::{read_trace, write_trace, TraceMeta};
 use suit::trace::{profile, TraceGen};
@@ -119,6 +118,16 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Parses the value of `--flag` if given; a bad value is `--flag: <why>`.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    opt(args, name)
+        .map(|v| v.parse().map_err(|e| format!("{name}: {e}")))
+        .transpose()
+}
+
 /// The first token that is neither a `--flag` nor a flag's value.
 /// Only meaningful after [`check_args`] has accepted the argument list
 /// (every `--flag` a subcommand takes consumes a value).
@@ -195,20 +204,22 @@ fn cmd_list(args: &[String]) -> CliResult {
 }
 
 fn parse_cpu(s: Option<String>) -> Result<CpuModel, String> {
-    match s.as_deref().unwrap_or("c") {
-        "a" => Ok(CpuModel::i9_9900k()),
-        "b" => Ok(CpuModel::ryzen_7700x()),
-        "c" => Ok(CpuModel::xeon_4208()),
-        other => Err(format!("unknown CPU '{other}' (expected a, b or c)")),
-    }
+    let key = s.as_deref().unwrap_or("c");
+    CpuModel::by_key(key).ok_or_else(|| format!("unknown CPU '{key}' (expected a, b or c)"))
 }
 
+/// The level an `--offset` value names: its key exactly (`70`, `97`).
+fn level_of(s: &str) -> Option<UndervoltLevel> {
+    UndervoltLevel::ALL
+        .into_iter()
+        .find(|l| l.key().to_string() == s)
+}
+
+/// `--offset` for `simulate` and `profile`, which also take `-70`/`-97`.
 fn parse_level(s: Option<String>) -> Result<UndervoltLevel, String> {
-    match s.as_deref().unwrap_or("97") {
-        "70" | "-70" => Ok(UndervoltLevel::Mv70),
-        "97" | "-97" => Ok(UndervoltLevel::Mv97),
-        other => Err(format!("unknown offset '{other}' (expected 70 or 97)")),
-    }
+    let s = s.as_deref().unwrap_or("97");
+    level_of(s.strip_prefix('-').unwrap_or(s))
+        .ok_or_else(|| format!("unknown offset '{s}' (expected 70 or 97)"))
 }
 
 /// `--cores N` for one DVFS domain: `1..=MAX_DOMAIN_CORES`, default 1.
@@ -257,55 +268,23 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let cpu = parse_cpu(opt(args, "--cpu"))?;
     let level = parse_level(opt(args, "--offset"))?;
     let cores = parse_cores(args)?;
-    let insts: Option<u64> = opt(args, "--insts")
-        .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
-        .transpose()?;
+    let insts: Option<u64> = flag(args, "--insts")?;
     if insts == Some(0) {
         return Err("--insts must be at least 1".into());
     }
-    let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
-        v.parse().map_err(|e| format!("--seed: {e}"))
-    })?;
+    let seed: u64 = flag(args, "--seed")?.unwrap_or(0x5017);
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "fv".into());
 
-    let params = match cpu.kind {
-        suit::hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
-
     // Strategy validation happens once, before the fan-out.
-    let engine_cfg = match strategy.as_str() {
-        "e" => None,
-        s => {
-            let (strat, adaptive) = match s {
-                "fv" => (OperatingStrategy::FreqVolt, None),
-                "f" => (OperatingStrategy::Frequency, None),
-                "v" => (OperatingStrategy::Voltage, None),
-                "adaptive" => (
-                    OperatingStrategy::FreqVolt,
-                    Some(suit::core::AdaptiveConfig::for_cpu(&cpu.delays)),
-                ),
-                other => return Err(format!("unknown strategy '{other}'")),
-            };
-            Some(SimConfig {
-                strategy: strat,
-                params,
-                level,
-                cores,
-                seed,
-                max_insts: insts,
-                record_timeline: false,
-                adaptive,
-            })
-        }
+    let cfg = SimConfig {
+        cores,
+        seed,
+        max_insts: insts,
+        ..config_for_key(&cpu, &strategy, level)
+            .ok_or_else(|| format!("unknown strategy '{strategy}'"))?
     };
-
     let results = suit::exec::run(profiles.len(), threads, |i| {
-        let p = profiles[i];
-        match &engine_cfg {
-            None => simulate_emulation(&cpu, p, level, seed, insts),
-            Some(cfg) => simulate(&cpu, p, cfg),
-        }
+        run_point(&cpu, profiles[i], &cfg)
     });
 
     for (p, r) in profiles.iter().zip(&results) {
@@ -388,12 +367,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
             let name = opt(args, "--workload").ok_or("missing --workload")?;
             let p = profile::by_name(&name).ok_or_else(|| format!("unknown workload '{name}'"))?;
             let out = opt(args, "--out").ok_or("missing --out <file>")?;
-            let bursts: usize = opt(args, "--bursts").map_or(Ok(10_000), |v| {
-                v.parse().map_err(|e| format!("--bursts: {e}"))
-            })?;
-            let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
-                v.parse().map_err(|e| format!("--seed: {e}"))
-            })?;
+            let bursts: usize = flag(args, "--bursts")?.unwrap_or(10_000);
+            let seed: u64 = flag(args, "--seed")?.unwrap_or(0x5017);
             let meta = TraceMeta {
                 name: p.name.into(),
                 ipc: p.ipc,
@@ -587,26 +562,26 @@ fn cmd_fleet(args: &[String]) -> CliResult {
         }
         None => FleetConfig::default(),
     };
-    if let Some(v) = opt(args, "--racks") {
-        cfg.racks = v.parse().map_err(|e| format!("--racks: {e}"))?;
+    if let Some(v) = flag(args, "--racks")? {
+        cfg.racks = v;
     }
-    if let Some(v) = opt(args, "--domains") {
-        cfg.domains_per_rack = v.parse().map_err(|e| format!("--domains: {e}"))?;
+    if let Some(v) = flag(args, "--domains")? {
+        cfg.domains_per_rack = v;
     }
-    if let Some(v) = opt(args, "--cores-per-domain") {
-        cfg.cores_per_domain = v.parse().map_err(|e| format!("--cores-per-domain: {e}"))?;
+    if let Some(v) = flag(args, "--cores-per-domain")? {
+        cfg.cores_per_domain = v;
     }
-    if let Some(v) = opt(args, "--epochs") {
-        cfg.epochs = v.parse().map_err(|e| format!("--epochs: {e}"))?;
+    if let Some(v) = flag(args, "--epochs")? {
+        cfg.epochs = v;
     }
-    if let Some(v) = opt(args, "--insts") {
-        cfg.epoch_insts = v.parse().map_err(|e| format!("--insts: {e}"))?;
+    if let Some(v) = flag(args, "--insts")? {
+        cfg.epoch_insts = v;
     }
-    if let Some(v) = opt(args, "--seed") {
-        cfg.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
+    if let Some(v) = flag(args, "--seed")? {
+        cfg.seed = v;
     }
-    if let Some(v) = opt(args, "--utilization") {
-        cfg.utilization = v.parse().map_err(|e| format!("--utilization: {e}"))?;
+    if let Some(v) = flag(args, "--utilization")? {
+        cfg.utilization = v;
     }
     if let Some(v) = opt(args, "--workload") {
         cfg.workloads = v.split(',').map(str::to_string).collect();
@@ -619,19 +594,11 @@ fn cmd_fleet(args: &[String]) -> CliResult {
         };
     }
     if let Some(v) = opt(args, "--strategy") {
-        cfg.strategy = match v.as_str() {
-            "fv" => suit::core::OperatingStrategy::FreqVolt,
-            "f" => suit::core::OperatingStrategy::Frequency,
-            "v" => suit::core::OperatingStrategy::Voltage,
-            other => return Err(format!("--strategy must be fv|f|v, got '{other}'")),
-        };
+        cfg.strategy = FleetConfig::strategy_for_key(&v)
+            .ok_or_else(|| format!("--strategy must be fv|f|v, got '{v}'"))?;
     }
     if let Some(v) = opt(args, "--offset") {
-        cfg.level = match v.as_str() {
-            "70" => suit::hw::UndervoltLevel::Mv70,
-            "97" => suit::hw::UndervoltLevel::Mv97,
-            other => return Err(format!("--offset must be 70 or 97, got '{other}'")),
-        };
+        cfg.level = level_of(&v).ok_or_else(|| format!("--offset must be 70 or 97, got '{v}'"))?;
     }
     // `--cores N` sizes the fleet by total core count: with racks and
     // cores-per-domain fixed, N must split evenly into domains.
@@ -695,15 +662,12 @@ fn cmd_mix(args: &[String]) -> CliResult {
             cpu.name
         );
     }
-    let insts = opt(args, "--insts")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--insts: {e}")))
-        .transpose()?
-        .unwrap_or(1_000_000_000);
+    let insts = flag::<u64>(args, "--insts")?.unwrap_or(1_000_000_000);
     let mut cfg = SimConfig::fv_intel(UndervoltLevel::Mv97);
     cfg.max_insts = Some(insts);
+    cfg.params = params_for(&cpu);
     if matches!(cpu.kind, suit::hw::CpuKind::AmdRyzen7700X) {
         cfg.strategy = OperatingStrategy::Frequency;
-        cfg.params = StrategyParams::amd();
     }
     let results = suit::exec::run(mixes.len(), threads, |i| {
         simulate_mixed(&cpu, &mixes[i], &cfg)
@@ -794,45 +758,34 @@ fn cmd_scenario(args: &[String]) -> CliResult {
     check_args(rest, &["--config", "--seed", "--threads"], &["--json"], 0)?;
     let threads = parse_threads(rest)?;
     let as_json = rest.iter().any(|a| a == "--json");
-    let seed: Option<u64> = opt(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?;
+    let seed: Option<u64> = flag(rest, "--seed")?;
     let src = match opt(rest, "--config") {
         Some(path) => Some(std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?),
         None => None,
     };
     let tele = suit::telemetry::Telemetry::off();
-    match kind {
+    let (json, text) = match kind {
         "sram" => {
-            let mut cfg = match &src {
-                Some(s) => suit::scenarios::SramScenarioConfig::from_json(s)?,
-                None => suit::scenarios::SramScenarioConfig::default(),
-            };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            let mut cfg = src.as_deref().map_or(Ok(Default::default()), |s| {
+                suit::scenarios::SramScenarioConfig::from_json(s)
+            })?;
+            cfg.seed = seed.unwrap_or(cfg.seed);
             let report = suit::scenarios::sram::run(&cfg, threads.count(), &tele);
-            if as_json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{}", report.render());
-            }
+            (report.to_json(), report.render())
         }
         _ => {
-            let mut cfg = match &src {
-                Some(s) => suit::scenarios::ScroogeConfig::from_json(s)?,
-                None => suit::scenarios::ScroogeConfig::default(),
-            };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            let mut cfg = src.as_deref().map_or(Ok(Default::default()), |s| {
+                suit::scenarios::ScroogeConfig::from_json(s)
+            })?;
+            cfg.seed = seed.unwrap_or(cfg.seed);
             let report = suit::scenarios::scrooge::search(&cfg, threads.count(), &tele)?;
-            if as_json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{}", report.render());
-            }
+            (report.to_json(), report.render())
         }
+    };
+    if as_json {
+        println!("{json}");
+    } else {
+        print!("{text}");
     }
     Ok(())
 }
@@ -866,43 +819,22 @@ fn cmd_profile(args: &[String]) -> CliResult {
     let cpu = parse_cpu(opt(args, "--cpu"))?;
     let level = parse_level(opt(args, "--offset"))?;
     let cores = parse_cores(args)?;
-    let insts: Option<u64> = opt(args, "--insts")
-        .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
-        .transpose()?;
-    let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
-        v.parse().map_err(|e| format!("--seed: {e}"))
-    })?;
-    let events: usize = opt(args, "--events").map_or(Ok(1 << 16), |v| {
-        v.parse().map_err(|e| format!("--events: {e}"))
-    })?;
+    let insts: Option<u64> = flag(args, "--insts")?;
+    let seed: u64 = flag(args, "--seed")?.unwrap_or(0x5017);
+    let events: usize = flag(args, "--events")?.unwrap_or(1 << 16);
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "fv".into());
-    let (strat, adaptive) = match strategy.as_str() {
-        "fv" => (OperatingStrategy::FreqVolt, None),
-        "f" => (OperatingStrategy::Frequency, None),
-        "v" => (OperatingStrategy::Voltage, None),
-        "adaptive" => (
-            OperatingStrategy::FreqVolt,
-            Some(suit::core::AdaptiveConfig::for_cpu(&cpu.delays)),
-        ),
-        other => {
+    let cfg = match config_for_key(&cpu, &strategy, level) {
+        Some(cfg) if cfg.strategy != OperatingStrategy::Emulation => SimConfig {
+            cores,
+            seed,
+            max_insts: insts,
+            ..cfg
+        },
+        _ => {
             return Err(format!(
-                "unknown strategy '{other}' (profile needs a curve-switching strategy)"
+                "unknown strategy '{strategy}' (profile needs a curve-switching strategy)"
             ))
         }
-    };
-    let params = match cpu.kind {
-        suit::hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
-    let cfg = SimConfig {
-        strategy: strat,
-        params,
-        level,
-        cores,
-        seed,
-        max_insts: insts,
-        record_timeline: false,
-        adaptive,
     };
 
     let tele = Telemetry::with_capacity(events);
@@ -1004,9 +936,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             }
         },
     };
-    let deadline_ms: Option<u64> = opt(args, "--deadline-ms")
-        .map(|v| v.parse().map_err(|e| format!("--deadline-ms: {e}")))
-        .transpose()?;
+    let deadline_ms: Option<u64> = flag(args, "--deadline-ms")?;
     let default_cfg = suit::serve::ServeConfig::default();
     // `0` on either bound disables the result cache (and coalescing).
     let cache_entries: usize = match opt(args, "--cache-entries") {
@@ -1131,9 +1061,7 @@ fn cmd_client(args: &[String]) -> CliResult {
             ))
         }
     }
-    let timeout_ms: u64 = opt(args, "--timeout-ms").map_or(Ok(30_000), |v| {
-        v.parse().map_err(|e| format!("--timeout-ms: {e}"))
-    })?;
+    let timeout_ms: u64 = flag(args, "--timeout-ms")?.unwrap_or(30_000);
     // `--etag x` sends `If-None-Match: "x"`; a tag already quoted (or
     // the `*` wildcard) passes through verbatim.
     let if_none_match = opt(args, "--etag").map(|t| {

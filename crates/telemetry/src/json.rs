@@ -3,8 +3,9 @@
 //! Exists so the Perfetto exporter can be *validated* without external
 //! crates: CI round-trips every emitted `trace.json` through this parser
 //! and checks structure (see [`crate::perfetto::validate_perfetto`]).
-//! The fleet and scenario config parsers read their fields through the
-//! strict extractors [`count`], [`number`] and [`numbers`]. It is a
+//! The fleet and scenario config parsers and the `suit-serve` request
+//! validators read their fields through the strict extractors
+//! [`count`], [`number`], [`numbers`] and [`string`]. It is a
 //! strict recursive-descent parser over the JSON grammar — small, not
 //! fast, and that is fine for validation workloads.
 
@@ -72,6 +73,13 @@ pub fn count(v: &Value, key: &str) -> Result<u64, String> {
         return Err(format!("'{key}' must be a non-negative integer"));
     }
     Ok(n as u64)
+}
+
+/// Extracts a string from the field `key` holding `v`.
+pub fn string(v: &Value, key: &str) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("'{key}' must be a string"))
 }
 
 /// Extracts a finite number from the field `key` holding `v` (range

@@ -148,6 +148,8 @@ fn hostile_counts_are_rejected_before_allocation() {
     for doc in [
         r#"{"racks": 1e308}"#,
         r#"{"racks": 4096, "domains_per_rack": 4096, "cores_per_domain": 4096}"#,
+        // One domain past MAX_DOMAIN_CORES, far under the fleet total.
+        r#"{"racks": 1, "domains_per_rack": 1, "cores_per_domain": 257}"#,
         r#"{"epochs": -3}"#,
         r#"{"epoch_insts": 1e18}"#,
         r#"{"epochs": 100000, "epoch_insts": 1000000000000}"#,

@@ -193,6 +193,8 @@ fn hostile_counts_are_rejected_before_allocation() {
         r#"{"scenario": "sram", "cache_banks": 99999999}"#,
         r#"{"scenario": "sram", "reads": -3}"#,
         r#"{"scenario": "sram", "reads": 0.5}"#,
+        // 2^32 + 1: bounded before narrowing, never wrapped to 1.
+        r#"{"scenario": "sram", "reads": 4294967297}"#,
         r#"{"scenario": "sram", "offsets_mv": []}"#,
         r#"{"scenario": "sram", "offsets_mv": [1e999]}"#,
         r#"{"scenario": "sram", "audit_len": 1e18}"#,
@@ -201,6 +203,7 @@ fn hostile_counts_are_rejected_before_allocation() {
         r#"{"scenario": "scrooge", "freq_min": -1}"#,
         r#"{"scenario": "scrooge", "epoch_insts": 1e18}"#,
         r#"{"scenario": "scrooge", "workload": "zzz"}"#,
+        r#"{"scenario": "scrooge", "racks": 1, "domains_per_rack": 1, "cores_per_domain": 257}"#,
         r#"{"scenario": "scrooge", "cache_bankz": 2}"#,
         r#"{"scenario": "warp"}"#,
         r#"{"seed": 1}"#,

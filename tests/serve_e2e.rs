@@ -15,7 +15,7 @@ use suit::serve::{
     request, request_text, request_with_headers, ServeConfig, Server, ShutdownHandle,
 };
 use suit::sim::experiment::run_table6;
-use suit::telemetry::json::{parse, Value};
+use suit::telemetry::json::{escape, parse, Value};
 
 /// Binds an ephemeral port, runs the server on a background thread, and
 /// returns the address, a shutdown handle, and the join handle.
@@ -109,7 +109,7 @@ fn simulate_round_trips_and_metrics_count_it() {
 #[test]
 fn malformed_bodies_are_400_with_structured_json_never_a_panic() {
     let (addr, handle, join) = start(ServeConfig::default());
-    for bad in [
+    for (path, bad) in [
         "",
         "not json",
         "[1,2,3]",
@@ -122,8 +122,16 @@ fn malformed_bodies_are_400_with_structured_json_never_a_panic() {
         // engine's per-core allocation and abort the whole process.
         "{\"workload\":\"557.xz\",\"cores\":1000000000,\"insts\":1000}",
         "{\"workload\":\"557.xz\",\"cores\":257}",
-    ] {
-        let resp = request(&addr, "POST", "/v1/simulate", Some(bad), TIMEOUT).expect("request");
+    ]
+    .map(|bad| ("/v1/simulate", bad))
+    .into_iter()
+    // One 300-core domain: under the fleet-wide core total, over
+    // MAX_DOMAIN_CORES.
+    .chain([(
+        "/v1/scenario",
+        "{\"scenario\":\"scrooge\",\"racks\":1,\"domains_per_rack\":1,\"cores_per_domain\":300}",
+    )]) {
+        let resp = request(&addr, "POST", path, Some(bad), TIMEOUT).expect("request");
         assert_eq!(resp.status, 400, "body {bad:?}: {}", resp.text().unwrap());
         let err = parse(resp.text().expect("utf-8")).expect("error body is valid JSON");
         assert!(matches!(
@@ -137,6 +145,344 @@ fn malformed_bodies_are_400_with_structured_json_never_a_panic() {
     stop(handle, join);
 }
 
+/// Golden `400` bodies: the exact error body of rejected requests on
+/// every compute endpoint, byte for byte.
+#[test]
+fn rejected_bodies_keep_their_exact_400_text() {
+    const ID: &str = "0123456789abcdef0123456789abcdef";
+    let trace = |rest: &str| format!("{{\"trace\":\"{ID}\"{rest}}}");
+    let golden: Vec<(&str, String, &str)> = vec![
+        (
+            "simulate",
+            "not json".into(),
+            "invalid JSON body: bad literal at byte 0",
+        ),
+        (
+            "simulate",
+            "{\"workload\":[\"557.xz\"]}".into(),
+            "field 'workload' must be a string",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"insts\":-3}".into(),
+            "field 'insts' must be a non-negative integer",
+        ),
+        (
+            "simulate-trace",
+            format!("{{\"trace\":\"{}\"}}", ID.to_uppercase()),
+            "field 'trace' must be a 32-hex-digit trace ID (from POST /v1/trace)",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategies\":[1]"),
+            "field 'strategies' must be an array of strategy keys",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"insts\":0"),
+            "field 'insts' must be at least 1",
+        ),
+        (
+            "simulate-trace",
+            "".into(),
+            "invalid JSON body: unexpected None at byte 0",
+        ),
+        (
+            "scenario",
+            "".into(),
+            "invalid JSON body: unexpected None at byte 0",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"cache_banks\":99999999}".into(),
+            "bank counts must be at most 4096",
+        ),
+        (
+            "simulate",
+            "".into(),
+            "invalid JSON body: unexpected None at byte 0",
+        ),
+        (
+            "simulate",
+            "[1,2]".into(),
+            "request body must be a JSON object",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"bogus\":1}".into(),
+            "unknown field 'bogus' (allowed: workload, cpu, strategy, offset, cores, insts, \
+             seed, deadline_ms)",
+        ),
+        ("simulate", "{}".into(), "missing field 'workload'"),
+        (
+            "simulate",
+            "{\"workload\":\"no-such\"}".into(),
+            "unknown workload 'no-such' (see `suit-cli list`)",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"cpu\":\"z\"}".into(),
+            "unknown cpu 'z' (expected a, b or c)",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"offset\":80}".into(),
+            "unknown offset '80' (expected 70 or 97)",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"strategy\":\"warp\"}".into(),
+            "unknown strategy 'warp' (expected fv, f, v, e, adaptive)",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"insts\":0}".into(),
+            "field 'insts' must be at least 1",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"seed\":1.5}".into(),
+            "field 'seed' must be a non-negative integer",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"seed\":\"x\"}".into(),
+            "field 'seed' must be a non-negative integer",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"offset\":\"97\"}".into(),
+            "field 'offset' must be a non-negative integer",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"cpu\":1}".into(),
+            "field 'cpu' must be a string",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"cores\":257}".into(),
+            "field 'cores' must be in 1..=256",
+        ),
+        (
+            "simulate",
+            "{\"workload\":\"557.xz\",\"seed\":1e999}".into(),
+            "non-finite number in request body (JSON cannot represent NaN or Infinity)",
+        ),
+        (
+            "batch",
+            "{\"sweep\":\"table9\"}".into(),
+            "unknown sweep 'table9' (expected table6)",
+        ),
+        (
+            "batch",
+            "{\"sweep\":\"table6\",\"workloads\":[\"557.xz\"]}".into(),
+            "'sweep' and 'workloads' are mutually exclusive",
+        ),
+        (
+            "batch",
+            "{\"sweep\":\"table6\",\"max_insts\":0}".into(),
+            "field 'max_insts' must be at least 1",
+        ),
+        (
+            "batch",
+            "{\"workloads\":[]}".into(),
+            "field 'workloads' must not be empty",
+        ),
+        (
+            "batch",
+            "{\"workloads\":[1]}".into(),
+            "field 'workloads' must be an array of names",
+        ),
+        (
+            "batch",
+            "{\"workloads\":3}".into(),
+            "field 'workloads' must be an array of names or \"all\"",
+        ),
+        (
+            "batch",
+            "{\"workloads\":[\"no-such\"]}".into(),
+            "unknown workload 'no-such'",
+        ),
+        (
+            "batch",
+            "{}".into(),
+            "missing field 'workloads' (or \"sweep\":\"table6\")",
+        ),
+        (
+            "batch",
+            "{\"workloads\":[\"557.xz\"],\"workload\":\"no-such\"}".into(),
+            "unknown workload 'no-such' (see `suit-cli list`)",
+        ),
+        (
+            "batch",
+            "{\"workloads\":[\"557.xz\"],\"strategy\":\"e\",\"cpu\":\"q\"}".into(),
+            "unknown cpu 'q' (expected a, b or c)",
+        ),
+        (
+            "batch",
+            "{\"sweep\":\"table6\",\"max_insts\":\"x\"}".into(),
+            "field 'max_insts' must be a non-negative integer",
+        ),
+        (
+            "faults",
+            "{\"cores\":0}".into(),
+            "field 'cores' must be in 1..=256",
+        ),
+        (
+            "faults",
+            "{\"sigma_mv\":-1}".into(),
+            "field 'sigma_mv' must be a non-negative number",
+        ),
+        (
+            "faults",
+            "{\"sigma_mv\":\"x\"}".into(),
+            "field 'sigma_mv' must be a number",
+        ),
+        (
+            "faults",
+            "{\"executions\":0}".into(),
+            "field 'executions' must be in 1..=10000000",
+        ),
+        (
+            "faults",
+            "{\"workload\":\"557.xz\"}".into(),
+            "unknown field 'workload' (allowed: cores, sigma_mv, seed, executions, \
+             deadline_ms)",
+        ),
+        ("simulate-trace", "{}".into(), "missing field 'trace'"),
+        (
+            "simulate-trace",
+            "{\"trace\":\"short\"}".into(),
+            "field 'trace' must be a 32-hex-digit trace ID (from POST /v1/trace)",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategy\":\"e\""),
+            "strategy 'e' is closed-form over an analytic profile; recorded traces replay \
+             with fv, f, v or adaptive",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategy\":\"warp\""),
+            "unknown strategy 'warp' (expected fv, f, v or adaptive)",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategies\":[]"),
+            "field 'strategies' must not be empty",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategies\":[\"fv\",\"fv\"]"),
+            "duplicate strategy 'fv' in 'strategies'",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategies\":[\"fv\"],\"strategy\":\"f\""),
+            "'strategy' and 'strategies' are mutually exclusive",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"strategies\":\"fv\""),
+            "field 'strategies' must be an array of strategy keys",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"cpu\":\"z\""),
+            "unknown cpu 'z' (expected a, b or c)",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"offset\":80"),
+            "unknown offset '80' (expected 70 or 97)",
+        ),
+        (
+            "simulate-trace",
+            trace(",\"cores\":2"),
+            "unknown field 'cores' (allowed: trace, cpu, strategy, strategies, offset, \
+             insts, seed, deadline_ms)",
+        ),
+        (
+            "scenario",
+            "{}".into(),
+            "missing 'scenario' (\"sram\" or \"scrooge\")",
+        ),
+        (
+            "scenario",
+            "[1]".into(),
+            "scenario config must be a JSON object",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"warp\"}".into(),
+            "unknown scenario 'warp' (expected \"sram\" or \"scrooge\")",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"bogus\":1}".into(),
+            "unknown key 'bogus'",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"reads\":0}".into(),
+            "reads must be in 1..=1048576",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"reads\":\"x\"}".into(),
+            "'reads' must be a number",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"sigma_mv\":\"x\"}".into(),
+            "'sigma_mv' must be a number",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"sram\",\"deadline_ms\":-1}".into(),
+            "field 'deadline_ms' must be a non-negative integer",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"scrooge\",\"offset_steps\":1}".into(),
+            "grid steps must be in 2..=64",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"scrooge\",\"workload\":\"no-such\"}".into(),
+            "unknown workload 'no-such'",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"scrooge\",\"workload\":3}".into(),
+            "'workload' must be a string",
+        ),
+        (
+            "scenario",
+            "{\"scenario\":\"scrooge\",\"cores_per_domain\":0}".into(),
+            "cores_per_domain must be positive",
+        ),
+    ];
+    let (addr, handle, join) = start(ServeConfig::default());
+    for (endpoint, body, want) in &golden {
+        let resp = request(
+            &addr,
+            "POST",
+            &format!("/v1/{endpoint}"),
+            Some(body),
+            TIMEOUT,
+        )
+        .expect("request");
+        assert_eq!(resp.status, 400, "{endpoint} {body:?}");
+        let expect = format!(
+            "{{\"error\":{{\"status\":400,\"message\":{}}}}}",
+            escape(want)
+        );
+        assert_eq!(resp.text().expect("utf-8"), expect, "{endpoint} {body:?}");
+    }
+    stop(handle, join);
+}
 #[test]
 fn full_queue_answers_429_with_retry_after() {
     // One worker, queue depth one: at most two jobs can be in the system,

@@ -7,8 +7,9 @@
 //!    `Complete` parse is prefix-stable (re-parsing exactly the consumed
 //!    bytes reproduces the identical request);
 //! 2. the endpoint body validators (`parse_simulate` / `parse_batch` /
-//!    `parse_faults`) are total over raw and near-valid JSON — a bad
-//!    body is always a structured 400, never a crash.
+//!    `parse_faults` / `parse_simulate_trace` / `parse_scenario`) are
+//!    total over raw and near-valid JSON — a bad body is always a
+//!    structured 400, never a crash.
 //!
 //! Two construction-based oracle properties pin the header semantics
 //! fixed in the conformance sweep:
@@ -23,8 +24,12 @@
 //!    wildcard, and non-matching/unquoted members all carry their
 //!    ground-truth match bit from the generator.
 //!
-//! CI drives property 1 with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
-//! gate. The committed corpus seeds in `tests/corpus/` pin the
+//! A fifth property pins cache-key soundness: every validated job of
+//! every endpoint, both scenario kinds included, canonicalises to a
+//! body its parser reads back to the same job.
+//!
+//! CI drives every property with `SUIT_CHECK_CASES=100000` as the
+//! fuzz-smoke gate. The committed corpus seeds in `tests/corpus/` pin the
 //! interesting shapes (over-long header, truncated body, close-in-list
 //! `Connection`, matching tag in an `If-None-Match` list) and are
 //! replayed before random exploration on every run.
@@ -32,6 +37,7 @@
 use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker, Source};
 use suit::serve::api;
+use suit::serve::cache::canonical_job;
 use suit::serve::http::{parse_request, Limits, Parse};
 
 /// Small limits so the generator can reach every rejection branch with
@@ -417,6 +423,8 @@ fn jsonish_body() -> Gen<String> {
         "{\"workloads\":[\"Nginx\",\"VLC\"],\"cpu\":\"a\",\"offset\":70}",
         "{\"workloads\":\"all\",\"strategy\":\"adaptive\",\"deadline_ms\":1000}",
         "{\"executions\":100,\"sigma_mv\":5.5,\"cores\":8}",
+        "{\"trace\":\"0123456789abcdef0123456789abcdef\",\"strategies\":[\"fv\",\"adaptive\"]}",
+        "{\"scenario\":\"sram\",\"reads\":64,\"offsets_mv\":[-120],\"deadline_ms\":50}",
         "{}",
     ]);
     let mutated = gen::pair(&valid, &gen::pair(&gen::usize_in(0..=127), &gen::byte())).map(
@@ -442,6 +450,255 @@ fn endpoint_validators_are_total_over_jsonish_bodies() {
             let _ = api::parse_simulate(body);
             let _ = api::parse_batch(body);
             let _ = api::parse_faults(body);
+            let _ = api::parse_simulate_trace(body);
+            let _ = api::parse_scenario(body);
             Ok::<(), String>(())
+        });
+}
+
+/// A JSON object of the `required` fields plus each `optional` field
+/// with probability one half, values drawn from their generators.
+fn object(
+    required: Vec<(&'static str, Gen<String>)>,
+    optional: Vec<(&'static str, Gen<String>)>,
+) -> Gen<String> {
+    let coin = gen::bool_any();
+    Gen::new(move |src| {
+        let mut fields: Vec<String> = required
+            .iter()
+            .map(|(k, g)| format!("\"{k}\":{}", g.sample(src)))
+            .collect();
+        for (k, g) in &optional {
+            let value = g.sample(src);
+            if coin.sample(src) {
+                fields.push(format!("\"{k}\":{value}"));
+            }
+        }
+        format!("{{{}}}", fields.join(","))
+    })
+}
+
+/// One JSON literal out of `items`.
+fn lit(items: &[&'static str]) -> Gen<String> {
+    gen::from_slice(items).map(str::to_string)
+}
+
+fn int(lo: u64, hi: u64) -> Gen<String> {
+    gen::u64_in(lo..=hi).map(|n| n.to_string())
+}
+
+/// A finite number in `lo..hi` written in Rust's shortest form, or one
+/// of the spellings in `extra` (exponents, `-0`, trailing zeros).
+fn num(lo: f64, hi: f64, extra: &[&'static str]) -> Gen<String> {
+    let mut alts = vec![gen::f64_in(lo, hi).map(|x| x.to_string())];
+    if !extra.is_empty() {
+        alts.push(lit(extra));
+    }
+    gen::one_of(alts)
+}
+
+fn workload() -> Gen<String> {
+    let names: Vec<String> = suit::trace::profile::all()
+        .iter()
+        .map(|p| format!("\"{}\"", p.name))
+        .collect();
+    gen::from_slice(&names)
+}
+
+/// Largest integer every endpoint reads exactly.
+const EXACT: u64 = 1 << 53;
+
+/// The fields `/v1/simulate` and a batch template share.
+fn point_fields() -> Vec<(&'static str, Gen<String>)> {
+    vec![
+        ("cpu", lit(&["\"a\"", "\"b\"", "\"c\""])),
+        (
+            "strategy",
+            lit(&["\"fv\"", "\"f\"", "\"v\"", "\"e\"", "\"adaptive\""]),
+        ),
+        ("offset", lit(&["70", "97", "7e1", "97.0"])),
+        ("cores", int(1, 256)),
+        ("insts", int(1, EXACT)),
+        ("seed", int(0, EXACT)),
+        ("deadline_ms", int(0, 1_000_000)),
+    ]
+}
+
+/// A valid body for one endpoint, tagged with the endpoint: every
+/// generated body is accepted, with a random subset of optional fields.
+fn valid_job_body() -> Gen<(&'static str, String)> {
+    let simulate = object(vec![("workload", workload())], point_fields());
+    let mut template = point_fields();
+    template.push(("workload", workload()));
+    let names = gen::pair(&workload(), &workload().vec_up_to(2)).map(|(first, rest)| {
+        format!(
+            "[{first}{}]",
+            rest.iter().map(|w| format!(",{w}")).collect::<String>()
+        )
+    });
+    let workloads = gen::one_of(vec![lit(&["\"all\"", "[\"557.xz\"]"]), names]);
+    let batch = gen::one_of(vec![
+        object(
+            vec![("sweep", lit(&["\"table6\""]))],
+            vec![("max_insts", int(1, EXACT)), ("cpu", lit(&["\"q\""]))],
+        ),
+        object(vec![("workloads", workloads)], template),
+    ]);
+    let faults = object(
+        vec![],
+        vec![
+            ("cores", int(1, 256)),
+            (
+                "sigma_mv",
+                num(0.0, 50.0, &["0", "-0", "5.50", "1e-3", "2E1"]),
+            ),
+            ("seed", int(0, EXACT)),
+            ("executions", int(1, 10_000_000)),
+            ("deadline_ms", int(0, 1_000_000)),
+        ],
+    );
+    let id = gen::u128_any().map(|n| format!("\"{n:032x}\""));
+    let trace = object(
+        vec![("trace", id)],
+        vec![
+            ("cpu", lit(&["\"a\"", "\"b\"", "\"c\""])),
+            (
+                "strategies",
+                lit(&[
+                    "[\"fv\"]",
+                    "[\"adaptive\",\"fv\"]",
+                    "[\"v\",\"f\",\"fv\",\"adaptive\"]",
+                ]),
+            ),
+            ("offset", lit(&["70", "97"])),
+            ("insts", int(1, EXACT)),
+            ("seed", int(0, EXACT)),
+            ("deadline_ms", int(0, 1_000_000)),
+        ],
+    );
+    // Alternatively one `strategy` instead of the list.
+    let trace = gen::one_of(vec![
+        trace.clone(),
+        gen::pair(&trace, &lit(&["\"f\"", "\"adaptive\""])).map(|(body, s)| {
+            if body.contains("\"strategies\"") {
+                body
+            } else {
+                format!("{},\"strategy\":{s}}}", &body[..body.len() - 1])
+            }
+        }),
+    ]);
+    let sram = object(
+        vec![("scenario", lit(&["\"sram\""])), ("rob_banks", int(1, 8))],
+        vec![
+            ("cache_banks", int(0, 8)),
+            ("sigma_mv", num(0.0, 200.0, &["0", "12.0"])),
+            (
+                "offsets_mv",
+                num(-1000.0, 0.0, &["-0", "-1e2"]).vec_up_to(3).map(|v| {
+                    format!(
+                        "[-120{}]",
+                        v.iter().map(|x| format!(",{x}")).collect::<String>()
+                    )
+                }),
+            ),
+            ("reads", int(1, 1 << 20)),
+            ("audit_len", int(1, 1_000_000)),
+            ("cores", int(1, 1024)),
+            ("seed", int(0, EXACT)),
+            ("deadline_ms", int(0, 1_000_000)),
+        ],
+    );
+    let scrooge = object(
+        vec![
+            ("scenario", lit(&["\"scrooge\""])),
+            ("rob_banks", int(1, 8)),
+        ],
+        vec![
+            ("racks", int(1, 4)),
+            ("domains_per_rack", int(1, 4)),
+            ("cores_per_domain", int(1, 256)),
+            ("epochs", int(1, 8)),
+            ("epoch_insts", int(1, 1_000_000_000)),
+            ("workload", workload()),
+            ("sigma_mv", num(0.0, 200.0, &[])),
+            ("cache_banks", int(0, 8)),
+            ("offset_min_mv", num(-400.0, -0.5, &["-180"])),
+            ("offset_steps", int(2, 64)),
+            ("freq_min", num(0.01, 1.0, &["1", "0.7"])),
+            ("freq_steps", int(2, 64)),
+            ("refine_rounds", int(0, 16)),
+            ("energy_price", num(0.0, 1e9, &["80"])),
+            ("crash_cost", num(0.0, 1e9, &["0"])),
+            ("sdc_cost", num(0.0, 1e9, &["5e2"])),
+            ("sla_cost", num(0.0, 1e9, &["0.02"])),
+            ("domain_power_w", num(0.5, 100_000.0, &["350"])),
+            ("horizon_hours", num(0.5, 1_000_000.0, &["720"])),
+            ("audit_len", int(1, 1_000_000)),
+            ("seed", int(0, EXACT)),
+            ("deadline_ms", int(0, 1_000_000)),
+        ],
+    );
+    gen::one_of(vec![
+        simulate.map(|b| ("simulate", b)),
+        batch.map(|b| ("batch", b)),
+        faults.map(|b| ("faults", b)),
+        trace.map(|b| ("simulate-trace", b)),
+        sram.map(|b| ("scenario", b)),
+        scrooge.map(|b| ("scenario", b)),
+    ])
+}
+
+/// Validates `body` at `endpoint` into a job. A trace replay gets a
+/// placeholder stored trace: its bytes never enter the cache key.
+fn parse_job(endpoint: &str, body: &str) -> Result<api::Job, String> {
+    let parsed = match endpoint {
+        "simulate" => api::parse_simulate(body),
+        "batch" => api::parse_batch(body),
+        "faults" => api::parse_faults(body),
+        "scenario" => api::parse_scenario(body),
+        _ => api::parse_simulate_trace(body).map(|(spec, deadline)| {
+            let stored = suit::serve::StoredTrace {
+                bytes: std::sync::Arc::new(Vec::new()),
+                workload: String::new(),
+                ipc: 1.0,
+                total_insts: 0,
+                bursts: 0,
+                chunks: 0,
+            };
+            let job = api::TraceJob { spec, stored };
+            (api::Job::SimulateTrace(Box::new(job)), deadline)
+        }),
+    };
+    parsed
+        .map(|(job, _)| job)
+        .map_err(|e| format!("{endpoint} rejected {body:?}: {}", e.0))
+}
+
+/// Property 5: every validated job's canonical form is a body its
+/// endpoint reads back to the same job, and canonicalising that job
+/// again gives the same key. So a field a writer misses is a failure
+/// here, and two bodies share a cache key exactly when they validate to
+/// equal jobs.
+#[test]
+fn canonical_bodies_parse_back_to_the_same_job() {
+    Checker::new("serve_fuzz::canonical_round_trip")
+        .cases_from_env_or(20_000)
+        .corpus(corpus_dir!())
+        .check(&valid_job_body(), |(endpoint, body): &(&str, String)| {
+            let job = parse_job(endpoint, body)?;
+            let key = canonical_job(&job);
+            let tag = format!(",\"endpoint\":\"{endpoint}\"}}");
+            let canonical = key
+                .strip_suffix(&tag)
+                .map(|rest| format!("{rest}}}"))
+                .ok_or_else(|| format!("key {key} lacks the {endpoint} tag"))?;
+            let again = parse_job(endpoint, &canonical)?;
+            if again != job {
+                return Err(format!("{canonical} parsed to {again:?}, not {job:?}"));
+            }
+            if canonical_job(&again) != key {
+                return Err(format!("key of {canonical} is not a fixed point"));
+            }
+            Ok(())
         });
 }

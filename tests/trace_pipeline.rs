@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use suit::core::strategy::StrategyParams;
-use suit::core::{AdaptiveConfig, OperatingStrategy};
+use suit::core::OperatingStrategy;
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
 use suit::serve::api;
@@ -21,6 +21,7 @@ use suit::serve::{
     request_bytes, request_text, ServeConfig, Server, ShutdownHandle, StoredTrace, TraceStore,
 };
 use suit::sim::engine::{run_stream, SimConfig};
+use suit::sim::experiment::config_for_key;
 use suit::store;
 use suit::trace::event::Burst;
 use suit::trace::io::{read_trace, write_trace, TraceMeta};
@@ -222,18 +223,10 @@ fn expected_simulate_trace_body(
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let (strategy, adaptive) = match *s {
-                "fv" => (OperatingStrategy::FreqVolt, None),
-                "f" => (OperatingStrategy::Frequency, None),
-                "v" => (OperatingStrategy::Voltage, None),
-                "adaptive" => (
-                    OperatingStrategy::FreqVolt,
-                    Some(AdaptiveConfig::for_cpu(&cpu.delays)),
-                ),
-                other => panic!("unknown strategy {other}"),
+            let cfg = SimConfig {
+                seed: root.fork(i as u64).root_seed(),
+                ..config_for_key(cpu, s, UndervoltLevel::Mv97).expect("replayable strategy")
             };
-            let mut cfg = replay_cfg(strategy, root.fork(i as u64).root_seed());
-            cfg.adaptive = adaptive;
             let reader = store::open_bytes(packed).expect("open");
             let meta = reader.meta().clone();
             let r = run_stream(cpu, &meta, reader.bursts(), &cfg);
