@@ -1,6 +1,6 @@
 //! Strict JSON configuration for the scenario campaigns.
 //!
-//! Same contract as `FleetConfig::from_json` and the `SUITTRC` readers:
+//! Same contract as `FleetConfig::from_json` and the `SUITTRC2` reader:
 //! arbitrary byte soup, truncation, and hostile counts must come back as
 //! a structured `Err`, never a panic — every count is bounds-checked
 //! here *before* any count-proportional allocation happens in the

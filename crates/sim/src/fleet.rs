@@ -229,7 +229,7 @@ impl FleetConfig {
 
     /// Parses a fleet scenario from a JSON document.
     ///
-    /// Same contract as the `SUITTRC` readers: arbitrary byte soup,
+    /// Same contract as the `SUITTRC2` reader: arbitrary byte soup,
     /// truncation, and hostile counts must come back as a structured
     /// `Err`, never a panic — counts are validated before any
     /// count-proportional allocation. Unknown keys are rejected so

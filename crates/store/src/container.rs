@@ -91,21 +91,12 @@ impl std::error::Error for StoreError {}
 
 // ---------------------------------------------------------------- varints
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<usize> {
-    let mut buf = [0u8; 10];
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7F) as u8;
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf[n] = byte;
-            n += 1;
-            w.write_all(&buf[..n])?;
-            return Ok(n);
-        }
-        buf[n] = byte | 0x80;
-        n += 1;
     }
+    buf.push(v as u8);
 }
 
 /// Reads a varint from a slice, returning the value and bytes consumed.
@@ -143,9 +134,9 @@ pub struct PackStats {
 }
 
 fn encode_burst(buf: &mut Vec<u8>, b: &Burst) {
-    let _ = write_varint(buf, b.gap_insts);
-    let _ = write_varint(buf, u64::from(b.events));
-    let _ = write_varint(buf, u64::from(b.within_gap_insts));
+    put_varint(buf, b.gap_insts);
+    put_varint(buf, u64::from(b.events));
+    put_varint(buf, u64::from(b.within_gap_insts));
     buf.push(b.opcode.index() as u8);
 }
 
@@ -155,6 +146,8 @@ fn encode_burst(buf: &mut Vec<u8>, b: &Burst) {
 /// Packing is streaming: memory stays O(chunk) however long the input
 /// iterator runs, and `w` only needs `Write` — offsets are tracked, not
 /// sought. The output is a pure function of `(meta, bursts, chunk_bursts)`.
+/// A burst whose span, or whose end in virtual time, does not fit in u64
+/// is refused with `Invalid`.
 pub fn pack<W: Write, I: IntoIterator<Item = Burst>>(
     w: &mut W,
     meta: &TraceMeta,
@@ -171,76 +164,78 @@ pub fn pack<W: Write, I: IntoIterator<Item = Burst>>(
         return Err(StoreError::Invalid("non-positive IPC"));
     }
 
-    // Header.
-    let mut pos: u64 = 0;
-    w.write_all(MAGIC)?;
-    pos += 8;
-    pos += write_varint(w, meta.name.len() as u64)? as u64;
-    w.write_all(meta.name.as_bytes())?;
-    pos += meta.name.len() as u64;
-    w.write_all(&meta.ipc.to_bits().to_le_bytes())?;
-    pos += 8;
-    pos += write_varint(w, meta.total_insts)? as u64;
-    pos += write_varint(w, chunk_bursts as u64)? as u64;
-
-    // Chunks.
+    let mut pos = write_header(w, meta, chunk_bursts as u64)?;
     let mut index: Vec<ChunkRecord> = Vec::new();
     let mut raw = Vec::new();
     let mut in_chunk: u32 = 0;
-    let mut stats = PackStats {
-        bursts: 0,
-        chunks: 0,
-        raw_bytes: 0,
-        packed_bytes: 0,
-    };
     let mut vtime: u64 = 0;
     let mut chunk_vtime: u64 = 0; // first_vtime of the chunk being filled
-    let flush = |w: &mut W,
-                 raw: &mut Vec<u8>,
-                 in_chunk: &mut u32,
-                 pos: &mut u64,
-                 first_vtime: u64|
-     -> Result<ChunkRecord, StoreError> {
-        let packed = lz::compress(raw);
-        let rec = ChunkRecord {
-            offset: *pos,
-            comp_len: packed.len() as u32,
-            raw_len: raw.len() as u32,
-            bursts: *in_chunk,
-            crc32: crc32(raw),
-            first_vtime,
-        };
-        w.write_all(&packed)?;
-        *pos += packed.len() as u64;
-        raw.clear();
-        *in_chunk = 0;
-        Ok(rec)
-    };
     for b in bursts {
         if in_chunk == 0 {
             chunk_vtime = vtime;
         }
+        vtime = b
+            .checked_end(vtime)
+            .ok_or(StoreError::Invalid("virtual time overflows u64"))?;
         encode_burst(&mut raw, &b);
         in_chunk += 1;
-        stats.bursts += 1;
-        vtime = vtime
-            .checked_add(b.total_insts())
-            .ok_or(StoreError::Invalid("virtual time overflows u64"))?;
         if in_chunk as usize == chunk_bursts {
-            stats.raw_bytes += raw.len() as u64;
-            index.push(flush(w, &mut raw, &mut in_chunk, &mut pos, chunk_vtime)?);
+            index.push(write_chunk(w, &raw, in_chunk, &mut pos, chunk_vtime)?);
+            raw.clear();
+            in_chunk = 0;
         }
     }
     if in_chunk > 0 {
-        stats.raw_bytes += raw.len() as u64;
-        index.push(flush(w, &mut raw, &mut in_chunk, &mut pos, chunk_vtime)?);
+        index.push(write_chunk(w, &raw, in_chunk, &mut pos, chunk_vtime)?);
     }
-    stats.chunks = index.len() as u64;
+    Ok(PackStats {
+        bursts: index.iter().map(|r| u64::from(r.bursts)).sum(),
+        chunks: index.len() as u64,
+        raw_bytes: index.iter().map(|r| u64::from(r.raw_len)).sum(),
+        packed_bytes: pos + write_index(w, &index, pos)?,
+    })
+}
 
-    // Index + trailer.
-    let index_offset = pos;
+/// Writes the container header; returns its length in bytes.
+fn write_header<W: Write>(w: &mut W, meta: &TraceMeta, chunk_bursts: u64) -> io::Result<u64> {
+    let mut head = MAGIC.to_vec();
+    put_varint(&mut head, meta.name.len() as u64);
+    head.extend_from_slice(meta.name.as_bytes());
+    head.extend_from_slice(&meta.ipc.to_bits().to_le_bytes());
+    put_varint(&mut head, meta.total_insts);
+    put_varint(&mut head, chunk_bursts);
+    w.write_all(&head)?;
+    Ok(head.len() as u64)
+}
+
+/// Compresses and writes one chunk of `bursts` encoded burst records at
+/// byte offset `*pos`, advancing it; returns the chunk's index record.
+fn write_chunk<W: Write>(
+    w: &mut W,
+    raw: &[u8],
+    bursts: u32,
+    pos: &mut u64,
+    first_vtime: u64,
+) -> io::Result<ChunkRecord> {
+    let packed = lz::compress(raw);
+    let rec = ChunkRecord {
+        offset: *pos,
+        comp_len: packed.len() as u32,
+        raw_len: raw.len() as u32,
+        bursts,
+        crc32: crc32(raw),
+        first_vtime,
+    };
+    w.write_all(&packed)?;
+    *pos += packed.len() as u64;
+    Ok(rec)
+}
+
+/// Writes the index footer and trailer for an index starting at byte
+/// `index_offset`; returns their combined length in bytes.
+fn write_index<W: Write>(w: &mut W, index: &[ChunkRecord], index_offset: u64) -> io::Result<u64> {
     let mut index_bytes = Vec::with_capacity(index.len() * INDEX_RECORD_BYTES as usize);
-    for rec in &index {
+    for rec in index {
         rec.encode(&mut index_bytes);
     }
     w.write_all(&index_bytes)?;
@@ -248,8 +243,7 @@ pub fn pack<W: Write, I: IntoIterator<Item = Burst>>(
     w.write_all(&crc32(&index_bytes).to_le_bytes())?;
     w.write_all(&(index.len() as u32).to_le_bytes())?;
     w.write_all(TAIL_MAGIC)?;
-    stats.packed_bytes = index_offset + index_bytes.len() as u64 + TRAILER_BYTES;
-    Ok(stats)
+    Ok(index_bytes.len() as u64 + TRAILER_BYTES)
 }
 
 /// [`pack`] into a fresh byte vector.
@@ -559,7 +553,8 @@ impl<R: Read + Seek> StreamingReader<R> {
         if crc32(&raw) != rec.crc32 {
             return Err(StoreError::Corrupt("chunk checksum mismatch"));
         }
-        let bursts = decode_chunk(&raw, rec.bursts)?;
+        let next_vtime = self.index.get(ci + 1).map(|r| r.first_vtime);
+        let bursts = decode_chunk(&raw, &rec, next_vtime)?;
         self.decodes += 1;
         self.window.push_back((ci, bursts));
         let resident: usize = self.window.iter().map(|(_, b)| b.len()).sum();
@@ -608,6 +603,8 @@ impl<R: Read + Seek> StreamingReader<R> {
                 let mut v = start;
                 let mut hit = None;
                 for (j, b) in bursts.iter().enumerate() {
+                    // Cannot wrap: `decode_chunk` proved every running
+                    // vtime of the chunk fits in u64.
                     let end = v + b.total_insts();
                     if end > target {
                         hit = Some((j, v));
@@ -648,10 +645,20 @@ impl<R: Read + Seek> StreamingReader<R> {
 }
 
 /// Decodes one chunk's raw bytes into bursts, consuming the slice exactly.
-fn decode_chunk(raw: &[u8], count: u32) -> Result<Vec<Burst>, StoreError> {
-    let mut bursts = Vec::with_capacity(count as usize); // count ≤ raw_len/4, validated
+///
+/// The chunk's virtual time runs from `rec.first_vtime`: every burst's
+/// span and every running vtime must fit in u64, and the chunk must end
+/// exactly where the next chunk (`next_vtime`, if any) starts. Readers
+/// can then add burst spans from any chunk start without overflow.
+fn decode_chunk(
+    raw: &[u8],
+    rec: &ChunkRecord,
+    next_vtime: Option<u64>,
+) -> Result<Vec<Burst>, StoreError> {
+    let mut bursts = Vec::with_capacity(rec.bursts as usize); // ≤ raw_len/4, validated
     let mut pos = 0usize;
-    for _ in 0..count {
+    let mut vtime = rec.first_vtime;
+    for _ in 0..rec.bursts {
         let gap = read_varint(raw, &mut pos)?;
         let events = read_varint(raw, &mut pos)?;
         let within = read_varint(raw, &mut pos)?;
@@ -666,10 +673,19 @@ fn decode_chunk(raw: &[u8], count: u32) -> Result<Vec<Burst>, StoreError> {
         if !opcode.is_faultable() {
             return Err(StoreError::Corrupt("non-faultable burst opcode"));
         }
-        bursts.push(Burst::new(gap, events as u32, within as u32, opcode));
+        let b = Burst::new(gap, events as u32, within as u32, opcode);
+        vtime = b
+            .checked_end(vtime)
+            .ok_or(StoreError::Corrupt("virtual time overflows u64"))?;
+        bursts.push(b);
     }
     if pos != raw.len() {
         return Err(StoreError::Corrupt("trailing bytes in chunk"));
+    }
+    if next_vtime.is_some_and(|next| next != vtime) {
+        return Err(StoreError::Corrupt(
+            "chunk does not end where the next begins",
+        ));
     }
     Ok(bursts)
 }
@@ -724,7 +740,7 @@ pub fn open_bytes(bytes: &[u8]) -> Result<StreamingReader<io::Cursor<&[u8]>>, St
 }
 
 /// Fully decodes a container: metadata plus every burst. Memory is
-/// O(trace) — this is the *unpack* path, not the streaming path.
+/// O(trace) — the load-everything path, not the streaming one.
 pub fn read_all(bytes: &[u8]) -> Result<(TraceMeta, Vec<Burst>), StoreError> {
     let mut reader = open_bytes(bytes)?;
     let mut bursts = Vec::new();
@@ -773,14 +789,8 @@ mod tests {
         let a = pack_to_vec(&meta(), bursts.iter().copied(), 1024).unwrap();
         let b = pack_to_vec(&meta(), bursts.iter().copied(), 1024).unwrap();
         assert_eq!(a, b);
-        let mut v1 = Vec::new();
-        suit_trace::io::write_trace(&mut v1, &meta(), bursts).unwrap();
-        assert!(
-            a.len() < v1.len(),
-            "packed {} bytes vs v1 {} bytes",
-            a.len(),
-            v1.len()
-        );
+        let raw = open_bytes(&a).unwrap().info().raw_bytes as usize;
+        assert!(a.len() < raw, "packed {} bytes vs {raw} raw", a.len());
     }
 
     #[test]
@@ -942,6 +952,63 @@ mod tests {
             pack_to_vec(&m, Vec::new(), 64),
             Err(StoreError::Invalid(_))
         ));
+    }
+
+    /// Assembles a container from explicit `(bursts, first_vtime)` chunks,
+    /// bypassing `pack`'s checks, so decode-side validation can be tested
+    /// on containers `pack` refuses to write.
+    fn assemble(chunks: &[(&[Burst], u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut pos = write_header(&mut out, &meta(), 64).unwrap();
+        let mut index = Vec::new();
+        for (bursts, first_vtime) in chunks {
+            let mut raw = Vec::new();
+            for b in *bursts {
+                encode_burst(&mut raw, b);
+            }
+            let n = bursts.len() as u32;
+            index.push(write_chunk(&mut out, &raw, n, &mut pos, *first_vtime).unwrap());
+        }
+        write_index(&mut out, &index, pos).unwrap();
+        out
+    }
+
+    #[test]
+    fn virtual_time_overflow_is_refused_by_pack_and_decode() {
+        let corrupt = |bytes: &[u8]| matches!(read_all(bytes), Err(StoreError::Corrupt(_)));
+        let small = Burst::new(10, 1, 0, Opcode::Aesenc);
+        let huge = Burst::new(u64::MAX - 5, 3, 10, Opcode::Aesenc);
+        // A single burst whose span wraps, and one whose end does.
+        for bursts in [
+            vec![Burst::new(u64::MAX, 1, 0, Opcode::Aesenc)],
+            vec![small, huge],
+        ] {
+            assert!(matches!(
+                pack_to_vec(&meta(), bursts.iter().copied(), 64),
+                Err(StoreError::Invalid(_))
+            ));
+        }
+
+        // The same shape written past pack's guard: decoding and seeking
+        // report corruption instead of wrapping.
+        let bytes = assemble(&[(&[small, huge, small], 0)]);
+        assert!(corrupt(&bytes));
+        let mut r = open_bytes(&bytes).unwrap();
+        assert!(matches!(r.seek_to_vtime(100), Err(StoreError::Corrupt(_))));
+
+        // Every span fits but the running vtime wraps.
+        let half = Burst::new(u64::MAX / 2, 1, 0, Opcode::Aesenc);
+        assert!(corrupt(&assemble(&[(&[half, half, half], 0)])));
+
+        // Each chunk fits on its own, but the index restarts the second
+        // chunk's vtime so the trace-wide sum would wrap.
+        let quarter = Burst::new(u64::MAX / 4, 1, 0, Opcode::Aesenc);
+        let q3: &[Burst] = &[quarter, quarter, quarter];
+        assert!(corrupt(&assemble(&[(q3, 0), (q3, 1)])));
+
+        // The assembler itself writes what pack writes.
+        let ok = [small, half, small];
+        assert_eq!(assemble(&[(&ok, 0)]), pack_to_vec(&meta(), ok, 64).unwrap());
     }
 
     #[test]

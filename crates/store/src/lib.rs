@@ -3,12 +3,11 @@
 //! Out-of-core trace storage: the `SUITTRC2` chunked, compressed,
 //! seekable container and its bounded-memory streaming reader.
 //!
-//! `suit-trace::io`'s `SUITTRC1` format is load-everything — the whole
-//! burst vector must fit in memory before a single event replays. Real
-//! trace-driven studies operate at 10¹¹-instruction / GiB scale (§5.1
-//! records 25 applications once and replays them across every CPU ×
-//! strategy × offset configuration), so this crate adds the storage layer
-//! that makes replay out-of-core:
+//! `SUITTRC2` is the only on-disk trace format. Real trace-driven studies
+//! operate at 10¹¹-instruction / GiB scale (§5.1 records 25 applications
+//! once and replays them across every CPU × strategy × offset
+//! configuration), so replay must never need the whole burst vector in
+//! memory before a single event runs:
 //!
 //! * [`container::pack`] — streams bursts into fixed-size chunks, each
 //!   independently compressed with the in-tree [`lz`] LZSS codec and
@@ -29,7 +28,8 @@
 //! Everything is deterministic and total: same bytes in, same bursts
 //! out; corrupt or hostile input returns [`container::StoreError`],
 //! never panics, and never allocates more than the physical input could
-//! justify.
+//! justify. A burst whose span, or whose running virtual time, does not
+//! fit in u64 is refused both when packing and when decoding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -56,6 +56,15 @@ impl Burst {
             + u64::from(self.events - 1) * u64::from(self.within_gap_insts)
     }
 
+    /// The virtual time at which the burst ends if it starts at `start`
+    /// (`start + total_insts()`), or `None` if that does not fit in u64.
+    pub fn checked_end(&self, start: u64) -> Option<u64> {
+        // Events and internal gaps are u32: their part cannot overflow.
+        let body =
+            u64::from(self.events) + u64::from(self.events - 1) * u64::from(self.within_gap_insts);
+        start.checked_add(self.gap_insts)?.checked_add(body)
+    }
+
     /// Instruction offsets (relative to the burst's first event) of every
     /// faultable instruction in the burst.
     pub fn event_offsets(&self) -> impl Iterator<Item = u64> + '_ {
@@ -121,6 +130,15 @@ mod tests {
         assert_eq!(b.total_insts(), 1000 + 5 + 4 * 10);
         let offs: Vec<u64> = b.event_offsets().collect();
         assert_eq!(offs, vec![0, 11, 22, 33, 44]);
+    }
+
+    #[test]
+    fn checked_end_refuses_only_overflow() {
+        let b = Burst::new(1000, 5, 10, Opcode::Aesenc);
+        assert_eq!(b.checked_end(7), Some(7 + b.total_insts()));
+        assert_eq!(b.checked_end(u64::MAX - b.total_insts()), Some(u64::MAX));
+        assert_eq!(b.checked_end(u64::MAX - b.total_insts() + 1), None);
+        assert_eq!(Burst::new(u64::MAX, 1, 0, Opcode::Vor).checked_end(0), None);
     }
 
     #[test]

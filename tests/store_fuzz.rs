@@ -13,16 +13,24 @@
 //!    ([`suit::store::open_bytes`] + drain) decoding are total over the
 //!    structured input stream, and *agree*: both accept with identical
 //!    metadata and bursts, or both reject;
-//! 2. `roundtrip` — every constructed (meta, bursts, chunk size) triple
-//!    packs deterministically and decodes back to exactly the input;
+//! 2. `roundtrip` — a constructed (meta, bursts, chunk size) triple
+//!    fails to pack exactly when its cumulative span overflows u64;
+//!    otherwise it packs deterministically and decodes back to exactly
+//!    the input;
 //! 3. `seek` — on a valid container, seeking to any virtual time lands on
 //!    the same burst boundary that skipping burst-by-burst from the start
 //!    reaches.
 //!
 //! CI drives property 1 with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
 //! gate. Committed corpus seeds in `tests/corpus/` pin the interesting
-//! shapes (a rejected corruption, a surviving valid container) and are
-//! replayed before random exploration on every run.
+//! shapes (a rejected corruption, a surviving valid container, a trace
+//! whose virtual time overflows u64) and are replayed before random
+//! exploration on every run.
+//!
+//! Burst fields span their full ranges — gap `0..=u64::MAX`, events
+//! `1..=u32::MAX`, within `0..=u32::MAX` — with a uniformly drawn bit
+//! width, so every varint length up to the 10-byte maximum is encoded,
+//! and top-half gaps make virtual-time overflow a common shape.
 
 use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker, Source};
@@ -41,15 +49,46 @@ fn faultable() -> Vec<Opcode> {
         .collect()
 }
 
-/// One structurally valid burst.
+/// A value in `0..=hi` whose bit width is uniform over `0..=` that of
+/// `hi`, so short and maximal varints are drawn alike; shrinks toward 0.
+fn any_width(hi: u64) -> Gen<u64> {
+    gen::u32_in(0..=64 - hi.leading_zeros()).bind(move |bits| {
+        let top = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+        gen::u64_in(0..=top.min(hi))
+    })
+}
+
+/// One structurally valid burst over the full field ranges.
 fn burst() -> Gen<Burst> {
     let ops = faultable();
     let n = ops.len();
+    // Any two top-half gaps overflow u64 between them.
+    let gap = gen::one_of(vec![
+        any_width(u64::MAX),
+        gen::u64_in(u64::MAX / 2..=u64::MAX),
+    ]);
+    let events = any_width(u64::from(u32::MAX) - 1).map(|e| e as u32 + 1);
+    let within = any_width(u64::from(u32::MAX)).map(|w| w as u32);
     gen::pair(
-        &gen::pair(&gen::u64_in(0..=1_000_000), &gen::u32_in(1..=500)),
-        &gen::pair(&gen::u32_in(0..=64), &gen::usize_in(0..=n - 1)),
+        &gen::pair(&gap, &events),
+        &gen::pair(&within, &gen::usize_in(0..=n - 1)),
     )
     .map(move |((gap, events), (within, oi))| Burst::new(gap, events, within, ops[oi]))
+}
+
+/// The cumulative virtual span of `bursts`, or `None` if it overflows
+/// u64 — exactly the traces `pack` must refuse.
+fn span(bursts: &[Burst]) -> Option<u64> {
+    bursts.iter().try_fold(0u64, |v, b| b.checked_end(v))
+}
+
+/// The longest prefix of `bursts` that `pack` accepts.
+fn packable(bursts: &[Burst]) -> &[Burst] {
+    let mut n = bursts.len();
+    while span(&bursts[..n]).is_none() {
+        n -= 1;
+    }
+    &bursts[..n]
 }
 
 /// A full construction triple: metadata, burst list, chunk size. Chunk
@@ -72,10 +111,12 @@ fn construction() -> Gen<(TraceMeta, Vec<Burst>, usize)> {
     .map(|((meta, bursts), chunk_bursts)| (meta, bursts, chunk_bursts))
 }
 
-/// A valid container's bytes.
+/// A valid container's bytes (overflowing constructions cut back to
+/// their packable prefix).
 fn valid_container() -> Gen<Vec<u8>> {
     construction().map(|(meta, bursts, chunk_bursts)| {
-        store::pack_to_vec(&meta, bursts, chunk_bursts).expect("constructed pack cannot fail")
+        store::pack_to_vec(&meta, packable(&bursts).iter().copied(), chunk_bursts)
+            .expect("a packable prefix cannot fail to pack")
     })
 }
 
@@ -165,8 +206,8 @@ fn decoder_is_total_over_container_streams() {
         });
 }
 
-/// Property 2: pack ∘ decode is the identity and packing is
-/// deterministic.
+/// Property 2: pack refuses exactly the overflowing traces; on the rest,
+/// pack ∘ decode is the identity and packing is deterministic.
 #[test]
 fn constructed_containers_roundtrip_exactly() {
     Checker::new("store_fuzz::roundtrip")
@@ -175,8 +216,18 @@ fn constructed_containers_roundtrip_exactly() {
         .check(
             &construction(),
             |(meta, bursts, chunk_bursts): &(TraceMeta, Vec<Burst>, usize)| {
-                let bytes = store::pack_to_vec(meta, bursts.iter().copied(), *chunk_bursts)
-                    .map_err(|e| format!("pack failed: {e}"))?;
+                let packed = store::pack_to_vec(meta, bursts.iter().copied(), *chunk_bursts);
+                let bytes = match (span(bursts), packed) {
+                    (Some(_), Ok(bytes)) => bytes,
+                    (None, Err(store::StoreError::Invalid(_))) => return Ok(()),
+                    (None, other) => {
+                        return Err(format!(
+                            "pack of an overflowing trace returned {:?}, not Invalid",
+                            other.map(|b| b.len())
+                        ))
+                    }
+                    (Some(_), Err(e)) => return Err(format!("pack failed: {e}")),
+                };
                 let again = store::pack_to_vec(meta, bursts.iter().copied(), *chunk_bursts)
                     .map_err(|e| format!("re-pack failed: {e}"))?;
                 if bytes != again {
@@ -208,6 +259,7 @@ fn seek_agrees_with_skip_from_start() {
         .check(
             &case,
             |((meta, bursts, chunk_bursts), raw_target): &((TraceMeta, Vec<Burst>, usize), u64)| {
+                let bursts = packable(bursts);
                 let bytes = store::pack_to_vec(meta, bursts.iter().copied(), *chunk_bursts)
                     .map_err(|e| format!("pack failed: {e}"))?;
 
@@ -218,8 +270,8 @@ fn seek_agrees_with_skip_from_start() {
                 let mut vtime = 0u64;
                 let mut expect = None;
                 // Keep targets inside (and slightly past) the trace.
-                let total: u64 = bursts.iter().map(Burst::total_insts).sum();
-                let target = raw_target % (total + 2);
+                let total = span(bursts).expect("packable prefix");
+                let target = total.checked_add(2).map_or(*raw_target, |m| raw_target % m);
                 for (i, b) in bursts.iter().enumerate() {
                     let end = vtime + b.total_insts();
                     if expect.is_none() && end > target {
@@ -268,11 +320,19 @@ fn committed_corpus_seeds_cover_the_advertised_shapes() {
         corrupt.len() >= 8 && &corrupt[..8] == b"SUITTRC2" && store::read_all(&corrupt).is_err(),
         "seed {CORRUPT_CONTAINER_SEED:#x} no longer generates a well-magicked corrupt container"
     );
+
+    let (_, bursts, _) = construction().sample(&mut Source::fresh(OVERFLOW_TRACE_SEED));
+    assert!(
+        span(&bursts).is_none() && bursts.iter().all(|b| b.checked_end(0).is_some()),
+        "seed {OVERFLOW_TRACE_SEED:#x} no longer generates bursts that each fit in u64 \
+         but overflow it together"
+    );
 }
 
 /// Seeds committed under `tests/corpus/` for the shapes above.
-const VALID_CONTAINER_SEED: u64 = 0x5;
+const VALID_CONTAINER_SEED: u64 = 0x6;
 const CORRUPT_CONTAINER_SEED: u64 = 0x0;
+const OVERFLOW_TRACE_SEED: u64 = 0x3;
 
 /// Maintenance tool, not part of the suite: scans seeds and prints the
 /// first one generating each corpus shape. Run with
@@ -303,4 +363,9 @@ fn find_corpus_seeds() {
     }
     println!("valid container seed:   {valid:?}");
     println!("corrupt container seed: {corrupt:?}");
+    let overflow = (0..200_000u64).find(|&seed| {
+        let (_, bursts, _) = construction().sample(&mut Source::fresh(seed));
+        span(&bursts).is_none() && bursts.iter().all(|b| b.checked_end(0).is_some())
+    });
+    println!("overflow trace seed:    {overflow:?}");
 }

@@ -1,6 +1,7 @@
-//! End-to-end tests for the out-of-core trace pipeline: `SUITTRC1` ↔
-//! `SUITTRC2` round trips, bounded-memory streaming replay, index seeks,
-//! and the `/v1/trace` + `/v1/simulate-trace` service path.
+//! End-to-end tests for the out-of-core trace pipeline over the
+//! `SUITTRC2` container: event-list import round trips, bounded-memory
+//! streaming replay, index seeks, and the `/v1/trace` +
+//! `/v1/simulate-trace` service path.
 //!
 //! The load-bearing assertions are the byte-identity ones: a simulation
 //! fed bursts streamed chunk-by-chunk out of a compressed container —
@@ -24,7 +25,7 @@ use suit::sim::engine::{run_stream, SimConfig};
 use suit::sim::experiment::config_for_key;
 use suit::store;
 use suit::trace::event::Burst;
-use suit::trace::io::{read_trace, write_trace, TraceMeta};
+use suit::trace::io::{import_events, TraceMeta};
 use suit::trace::{profile, TraceGen};
 use suit_rng::SuitRng;
 
@@ -42,30 +43,20 @@ fn test_trace() -> (TraceMeta, Vec<Burst>) {
 }
 
 #[test]
-fn pack_unpack_round_trip_is_byte_identical() {
-    let (meta, bursts) = test_trace();
-
-    // The v1 ground truth.
-    let mut v1 = Vec::new();
-    write_trace(&mut v1, &meta, bursts.iter().copied()).expect("write v1");
-
-    // v1 → container → v1 must reproduce the bytes exactly, and packing
-    // must be deterministic.
-    let mut cur = std::io::Cursor::new(&v1[..]);
-    let (meta2, bursts2) = read_trace(&mut cur).expect("read v1");
-    let packed = store::pack_to_vec(&meta2, bursts2.iter().copied(), 256).expect("pack");
-    let again = store::pack_to_vec(&meta2, bursts2.iter().copied(), 256).expect("re-pack");
-    assert_eq!(packed, again, "packing is not deterministic");
-
-    let reader = store::open_bytes(&packed).expect("open container");
-    let info = reader.info();
-    assert_eq!(info.bursts, bursts.len() as u64);
-    let mut out = Vec::new();
-    let mut it = reader.bursts();
-    suit::trace::io::write_trace_counted(&mut out, &info.meta, info.bursts, &mut it)
-        .expect("write v1 from stream");
-    assert!(it.error().is_none(), "streaming decode error");
-    assert_eq!(out, v1, "pack→unpack drifted from the original v1 bytes");
+fn imported_bursts_roundtrip_through_the_container() {
+    // A QEMU-plugin event list → bursts → container → bursts.
+    let bursts =
+        import_events("100 AESENC\n120 AESENC\n500000 VXOR\n".as_bytes(), 1_000).expect("import");
+    assert_eq!(bursts.len(), 2);
+    let meta = TraceMeta {
+        name: "imported".into(),
+        ipc: 1.0,
+        total_insts: 500_001,
+    };
+    let packed = store::pack_to_vec(&meta, bursts.iter().copied(), 1).expect("pack");
+    let (meta2, back) = store::read_all(&packed).expect("decode");
+    assert_eq!(meta2, meta);
+    assert_eq!(back, bursts);
 }
 
 /// One replay configuration used across the identity tests.
